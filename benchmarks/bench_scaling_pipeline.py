@@ -1,23 +1,22 @@
-"""Scaling benchmarks: pipelined scheduler vs barrier on a skewed grid.
+"""Scaling benchmarks: the pipelined scheduler on a skewed grid.
 
-The barrier scheduler hands each shard one monolithic chunk, so sweep
-latency is the *max* over shards — one slow shard (CPU contention, a
-cold cache, a noisy neighbour) stalls the whole grid.  The pipelined
-scheduler splits the grid into rendezvous-routed micro-chunks, keeps a
-bounded in-flight window per shard, steals queued work from stragglers
-and re-dispatches their in-flight chunks speculatively — latency
-approaches the *mean*.
+A one-chunk-per-shard barrier hands each shard one monolithic chunk,
+so sweep latency is the *max* over shards — one slow shard (CPU
+contention, a cold cache, a noisy neighbour) stalls the whole grid:
+it can finish no sooner than the slow shard's routed share × its
+per-pair slowdown.  The pipelined scheduler splits the grid into
+rendezvous-routed micro-chunks, keeps a bounded in-flight window per
+shard, steals queued work from stragglers and re-dispatches their
+in-flight chunks speculatively — latency approaches the *mean*.
 
 Rows (all correctness checks run inside the bench):
 
-* **skewed-grid sweep, barrier** — shard slot 0 is slowed by the
-  ``REPRO_SWEEP_FAULT`` test hook (the straggler-injection satellite);
-  the barrier path degrades to the straggler's full serial time;
-* **skewed-grid sweep, pipelined+speculative** — the same fault under
-  the pipelined scheduler with forced speculation.  The ≥2× speedup
-  over the barrier path is asserted in-bench (measured side by side in
-  this very process), as is verdict identity with the serial sweep —
-  so the committed JSON is also the acceptance claim's record;
+* **skewed-grid sweep, pipelined+speculative** — the busier shard is
+  slowed by the ``REPRO_SWEEP_FAULT`` test hook and speculation is
+  forced.  The ≥2× speedup over the barrier's analytic floor (pairs
+  routed to the slow shard × the injected per-pair delay) is asserted
+  in-bench, as is verdict identity with the serial sweep — so the
+  committed JSON is also the acceptance claim's record;
 * **fan-out curve** — an unskewed compute-bound grid swept with 1, 2
   and 4 workers; each row's best-round seconds is also stamped into
   the output JSON's hardware block (``sweep_fanout_curve``) next to
@@ -31,12 +30,8 @@ import pytest
 
 from bench_support import FANOUT_CURVE
 
-from repro.core.runtime import (
-    SCHEDULER_BARRIER,
-    SCHEDULER_PIPELINE,
-    EvolutionRuntime,
-)
-from repro.core.sweep import WITNESS_NONE, sweep_pairs
+from repro.core.runtime import EvolutionRuntime
+from repro.core.sweep import WITNESS_NONE, _sweep_pairs_stats, sweep_pairs
 from repro.workload.generator import random_afsa
 
 #: Small states for the skew rows: the injected sleep dominates, so
@@ -46,11 +41,13 @@ SKEW_SIZE = 96
 FANOUT_SIZE = 512
 GRID_PAIRS = 12
 SWEEP_WORKERS = 2
-#: Shard slot 0 sleeps this long per pair in every chunk it checks.
+#: The slow shard sleeps this long per pair in every chunk it checks.
 FAULT_S = 0.05
-FAULT = f"0:{FAULT_S}"
-#: The acceptance claim: pipelined+speculative ≥2× over the barrier.
+#: The acceptance claim: pipelined+speculative ≥2× under the barrier's
+#: analytic floor.
 ASSERT_SPEEDUP = 2.0
+#: Runtime options that speculate on any chunk older than 2 ms.
+FORCED_SPECULATION = {"speculate_multiple": 0.0, "speculate_floor_s": 0.002}
 FANOUT_WORKERS = [1, 2, 4]
 
 
@@ -76,83 +73,59 @@ def _sweep(runtime, grid, workers=SWEEP_WORKERS):
     )
 
 
-def _skewed_seconds(scheduler, grid, rounds):
-    """Best-of-*rounds* seconds for the skewed sweep under *scheduler*,
-    on a fresh runtime (its own fleet, its own latency EWMAs) — the
-    side-by-side protocol behind the in-bench ≥2× assertion.  Callers
-    hold ``REPRO_SWEEP_FAULT`` (and, for the pipelined side,
-    ``REPRO_SWEEP_SPECULATE=force``) in the environment."""
-    with EvolutionRuntime(scheduler=scheduler, window=1) as runtime:
-        _sweep(runtime, grid)  # fork + publish outside the timing
+def _busier_shard(grid):
+    """``(slot, pairs)`` of the shard digest routing gives the larger
+    share of *grid* (routing is deterministic within a process, so a
+    later runtime places the grid the same way)."""
+    with EvolutionRuntime() as runtime:
+        _, stats = _sweep_pairs_stats(
+            grid, WITNESS_NONE, SWEEP_WORKERS, runtime
+        )
+    loads = stats["shard_loads"]
+    return loads.index(max(loads)), max(loads)
+
+
+def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
+    """Pipelined micro-chunks + stealing + forced speculation under a
+    slow shard: latency is bounded by a couple of chunk times.  The ≥2×
+    acceptance ratio vs the barrier's analytic floor is asserted
+    in-bench."""
+    grid = _grid(SKEW_SIZE)
+    serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
+    slow, slow_pairs = _busier_shard(grid)
+    fault = f"{slow}:{FAULT_S}"
+    monkeypatch.setenv("REPRO_SWEEP_FAULT", fault)
+    runtime = EvolutionRuntime(window=1, **FORCED_SPECULATION)
+    try:
+        results = _sweep(runtime, grid)
+        assert [ok for ok, _ in results] == [ok for ok, _ in serial]
+
+        benchmark.group = "pipeline-skewed-sweep"
+        benchmark.extra_info["states"] = SKEW_SIZE
+        benchmark.extra_info["pairs"] = GRID_PAIRS
+        benchmark.extra_info["workers"] = SWEEP_WORKERS
+        benchmark.extra_info["speculation"] = "force"
+        benchmark.extra_info["fault"] = fault
+        benchmark(_sweep, runtime, grid)
+        assert runtime.speculative_dispatches >= 1
 
         def one_round():
             start = perf_counter()
             _sweep(runtime, grid)
             return perf_counter() - start
 
-        return min(one_round() for _ in range(rounds))
-
-
-def test_scaling_pipeline_barrier_skew(benchmark, monkeypatch):
-    """One-chunk-per-shard barrier under a slow shard: the whole grid
-    waits for the straggler's monolithic chunk."""
-    grid = _grid(SKEW_SIZE)
-    serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
-    monkeypatch.setenv("REPRO_SWEEP_FAULT", FAULT)
-    monkeypatch.delenv("REPRO_SWEEP_PIPELINE", raising=False)
-    monkeypatch.delenv("REPRO_SWEEP_SPECULATE", raising=False)
-    runtime = EvolutionRuntime(scheduler=SCHEDULER_BARRIER)
-    try:
-        results = _sweep(runtime, grid)
-        assert [ok for ok, _ in results] == [ok for ok, _ in serial]
-
-        benchmark.group = "pipeline-skewed-sweep"
-        benchmark.extra_info["states"] = SKEW_SIZE
-        benchmark.extra_info["pairs"] = GRID_PAIRS
-        benchmark.extra_info["workers"] = SWEEP_WORKERS
-        benchmark.extra_info["scheduler"] = SCHEDULER_BARRIER
-        benchmark.extra_info["fault"] = FAULT
-        benchmark(_sweep, runtime, grid)
+        pipelined_s = min(one_round() for _ in range(2))
     finally:
         runtime.shutdown()
 
-
-def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
-    """Pipelined micro-chunks + stealing + forced speculation under the
-    same slow shard: latency is bounded by a couple of chunk times.
-    The ≥2× acceptance ratio vs the barrier is asserted in-bench."""
-    grid = _grid(SKEW_SIZE)
-    serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
-    monkeypatch.setenv("REPRO_SWEEP_FAULT", FAULT)
-    monkeypatch.setenv("REPRO_SWEEP_SPECULATE", "force")
-    monkeypatch.delenv("REPRO_SWEEP_PIPELINE", raising=False)
-    runtime = EvolutionRuntime(scheduler=SCHEDULER_PIPELINE, window=1)
-    try:
-        results = _sweep(runtime, grid)
-        assert [ok for ok, _ in results] == [ok for ok, _ in serial]
-
-        benchmark.group = "pipeline-skewed-sweep"
-        benchmark.extra_info["states"] = SKEW_SIZE
-        benchmark.extra_info["pairs"] = GRID_PAIRS
-        benchmark.extra_info["workers"] = SWEEP_WORKERS
-        benchmark.extra_info["scheduler"] = SCHEDULER_PIPELINE
-        benchmark.extra_info["speculation"] = "force"
-        benchmark.extra_info["fault"] = FAULT
-        benchmark(_sweep, runtime, grid)
-        assert runtime.speculative_dispatches >= 1
-    finally:
-        runtime.shutdown()
-
-    # The acceptance claim, measured side by side in this very process
-    # so the committed JSON doubles as its record.
-    pipelined_s = _skewed_seconds(SCHEDULER_PIPELINE, grid, rounds=2)
-    monkeypatch.delenv("REPRO_SWEEP_SPECULATE", raising=False)
-    barrier_s = _skewed_seconds(SCHEDULER_BARRIER, grid, rounds=2)
-    benchmark.extra_info["barrier_s"] = round(barrier_s, 4)
+    # The acceptance claim, against the floor no barrier can beat: it
+    # waits for every pair routed to the slow shard.
+    barrier_floor_s = slow_pairs * FAULT_S
+    benchmark.extra_info["barrier_floor_s"] = round(barrier_floor_s, 4)
     benchmark.extra_info["pipelined_s"] = round(pipelined_s, 4)
-    assert barrier_s >= ASSERT_SPEEDUP * pipelined_s, (
-        f"pipelined+speculative {barrier_s / pipelined_s:.1f}× faster "
-        f"than the barrier — expected ≥{ASSERT_SPEEDUP}×"
+    assert barrier_floor_s >= ASSERT_SPEEDUP * pipelined_s, (
+        f"pipelined+speculative {barrier_floor_s / pipelined_s:.1f}× "
+        f"under the barrier floor — expected ≥{ASSERT_SPEEDUP}×"
     )
 
 
@@ -164,8 +137,6 @@ def test_scaling_pipeline_fanout(benchmark, monkeypatch, workers):
     measure kernel compute + dispatch, not memoization.  Best-round
     seconds land in the JSON hardware block as ``sweep_fanout_curve``."""
     monkeypatch.delenv("REPRO_SWEEP_FAULT", raising=False)
-    monkeypatch.delenv("REPRO_SWEEP_PIPELINE", raising=False)
-    monkeypatch.delenv("REPRO_SWEEP_SPECULATE", raising=False)
     runtime = EvolutionRuntime(workers=workers)
     seeds = iter(range(10_000, 90_000, 1_000))
     try:

@@ -71,7 +71,7 @@ def pytest_benchmark_update_machine_info(config, machine_info):
     output (and thus every committed ``BENCH_*.json``): scaling results
     — especially the sharded fan-out series — are only comparable
     between runs with the same CPU budget, and
-    ``benchmarks/report.py --compare`` warns (never gates) when the
+    ``benchmarks/report.py --gates`` warns (never gates) when the
     counts differ."""
     machine_info["hardware"] = {
         "cpu_count": os.cpu_count(),
@@ -81,12 +81,17 @@ def pytest_benchmark_update_machine_info(config, machine_info):
 
 
 def pytest_benchmark_update_json(config, benchmarks, output_json):
-    """Stamp the measured multi-core fan-out curve (worker count →
-    best-round sweep seconds, filled by ``bench_scaling_pipeline.py``)
-    into the hardware block at JSON-write time — the curve is only
-    meaningful next to the ``cpu_count`` it was measured on."""
+    """Drop the raw per-round timings (``stats.data``; the report and
+    the gates read only the summary stats, and the raw rounds made up
+    nearly all of a baseline's size), and stamp the measured
+    multi-core fan-out curve (worker count → best-round sweep seconds,
+    filled by ``bench_scaling_pipeline.py``) into the hardware block at
+    JSON-write time — the curve is only meaningful next to the
+    ``cpu_count`` it was measured on."""
     from bench_support import FANOUT_CURVE
 
+    for bench in output_json["benchmarks"]:
+        bench["stats"].pop("data", None)
     if FANOUT_CURVE:
         hardware = output_json["machine_info"].setdefault("hardware", {})
         hardware["sweep_fanout_curve"] = dict(sorted(FANOUT_CURVE.items()))

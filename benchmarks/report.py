@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Render a paper-vs-measured report from pytest-benchmark JSON output,
-and optionally gate against a committed baseline.
+and optionally gate it against the committed baselines.
 
 Usage::
 
     pytest benchmarks/ --benchmark-only --benchmark-json=bench.json
     python benchmarks/report.py bench.json
-    python benchmarks/report.py bench.json \\
-        --compare BENCH_scaling_kernel.json --max-regress 1.25
+    python benchmarks/report.py bench.json --gates benchmarks/gates.toml
 
-Without ``--compare`` it prints the per-experiment verdict table (the
+Without ``--gates`` it prints the per-experiment verdict table (the
 EXPERIMENTS.md record) and the scaling series grouped by sweep
-parameter.  With ``--compare`` it additionally matches benchmarks by
-name against the baseline JSON and **fails (exit code 1)** when any
-bench's median-of-rounds regressed by more than ``--max-regress``
-(a ratio: 1.25 = fail beyond +25%).  Medians are used instead of means
-and benches whose medians sit below ``--min-median-ms`` on both sides
-are skipped, so one garbage-collector hiccup or a sub-millisecond
-timer-noise bench cannot fail CI.
+parameter.  With ``--gates`` it additionally compares the run against
+every baseline the TOML manifest lists, each under its own policy, and
+**fails (exit code 1)** when any bench's median-of-rounds regressed by
+more than its baseline's ``max_regress`` (a ratio: 1.25 = fail beyond
++25%).  Medians are used instead of means, benches whose medians sit
+below ``min_median_ms`` on both sides are skipped, and every ratio is
+machine-calibrated, so one garbage-collector hiccup, a sub-millisecond
+timer-noise bench or a slower CI runner cannot fail the gate.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import argparse
 import fnmatch
 import json
 import sys
+import tomllib
 
 
 def _mean_ms(entry: dict) -> float:
@@ -264,6 +265,41 @@ def compare(
     return "\n".join(lines), regressions
 
 
+def gate(run_path: str, manifest_path: str) -> tuple[str, list[str]]:
+    """Gate a run against every baseline of a TOML manifest.
+
+    The manifest holds one table per committed baseline JSON (the
+    table name is its path), each with ``max_regress``,
+    ``min_median_ms`` and an ``exclude`` list of fnmatch patterns;
+    every comparison is machine-calibrated (see :func:`compare`).
+    Returns the concatenated comparison tables and the baselines that
+    had at least one regressed bench.
+    """
+    with open(manifest_path, "rb") as handle:
+        manifest = tomllib.load(handle)
+    sections: list[str] = []
+    failed: list[str] = []
+    for baseline, policy in manifest.items():
+        table, regressions = compare(
+            run_path,
+            baseline,
+            max_regress=policy["max_regress"],
+            min_median_ms=policy["min_median_ms"],
+            calibrate=True,
+            exclude=policy["exclude"],
+        )
+        sections.append(f"## vs {baseline}\n\n{table}")
+        if regressions:
+            failed.append(baseline)
+    verdict = (
+        f"**{len(failed)} of {len(manifest)} GATE(S) FAILED**: "
+        + ", ".join(failed)
+        if failed
+        else f"**ALL {len(manifest)} GATES PASSED**"
+    )
+    return "\n\n".join(sections + [verdict]), failed
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -271,65 +307,31 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("run", help="pytest-benchmark JSON of this run")
     parser.add_argument(
-        "--compare",
-        metavar="BASELINE",
-        help="baseline pytest-benchmark JSON to gate against",
-    )
-    parser.add_argument(
-        "--max-regress",
-        type=float,
-        default=1.25,
-        help="fail when run/baseline median ratio exceeds this (default 1.25)",
-    )
-    parser.add_argument(
-        "--min-median-ms",
-        type=float,
-        default=1.0,
-        help="skip benches whose medians are below this on both sides "
-        "(timer-noise tolerance, default 1.0 ms)",
-    )
-    parser.add_argument(
-        "--calibrate",
-        action="store_true",
-        help="divide every ratio by the run's median ratio (clamped to "
-        "≥1), cancelling the constant speed difference between the "
-        "baseline machine and this one (use when gating CI runs "
-        "against a committed baseline recorded elsewhere)",
-    )
-    parser.add_argument(
-        "--exclude",
-        action="append",
-        metavar="PATTERN",
-        help="fnmatch pattern of bench names to report but exempt from "
-        "gating (repeatable; for environment-bound rows like cold "
-        "pool-spawn measurements)",
+        "--gates",
+        metavar="MANIFEST",
+        help="TOML manifest of baselines to gate against, one table "
+        "per baseline JSON with its max_regress, min_median_ms and "
+        "exclude patterns (benchmarks/gates.toml)",
     )
     parser.add_argument(
         "--no-render",
         action="store_true",
         help="skip the paper-vs-measured report and print only the "
-        "comparison table (for CI steps that publish the report "
+        "gate tables (for CI steps that publish the report "
         "separately)",
     )
     args = parser.parse_args(argv)
-    if args.no_render and not args.compare:
-        parser.error("--no-render without --compare would print nothing")
+    if args.no_render and not args.gates:
+        parser.error("--no-render without --gates would print nothing")
 
     if not args.no_render:
         print(render(args.run))
-    if args.compare:
-        table, regressions = compare(
-            args.run,
-            args.compare,
-            max_regress=args.max_regress,
-            min_median_ms=args.min_median_ms,
-            calibrate=args.calibrate,
-            exclude=args.exclude,
-        )
+    if args.gates:
+        tables, failed = gate(args.run, args.gates)
         if not args.no_render:
             print()
-        print(table)
-        if regressions:
+        print(tables)
+        if failed:
             return 1
     return 0
 

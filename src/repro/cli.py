@@ -12,7 +12,7 @@ selected by extension ``.xml`` / anything else = DSL):
   conversing pairs, optionally fanned out through the persistent
   evolution runtime (``--workers``, ``--repeat``, ``--stats``;
   ``--transport tcp --shard host:port`` dispatches to remote shard
-  workers, ``--routing`` picks digest vs. positional affinity)
+  workers)
 * ``shard-worker --listen H:P`` — serve sweep/migration chunks over
   the length-prefixed TCP transport for a remote runtime
 * ``diff OLD NEW``            — additive/subtractive classification (Def. 5)
@@ -35,7 +35,6 @@ Output is plain text (``--dot`` switches automaton output to Graphviz).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -115,12 +114,6 @@ def cmd_sweep(args) -> int:
     choreography = Choreography("sweep")
     for path in args.files:
         choreography.add_partner(load_process(path))
-    if args.scheduler:
-        # One env knob feeds every runtime this sweep touches — the
-        # owned ones below and the process-wide default alike.
-        os.environ["REPRO_SWEEP_PIPELINE"] = (
-            "0" if args.scheduler == "barrier" else "1"
-        )
     if args.transport == "tcp" and not args.shard:
         print("--transport tcp needs at least one --shard host:port")
         return 2
@@ -136,11 +129,7 @@ def cmd_sweep(args) -> int:
             # Remote shards: one runtime holding the TCP connections
             # for every repeat, so worker-side caches get exercised
             # exactly like a persistent mp fleet's.
-            owned = EvolutionRuntime(
-                transport="tcp",
-                shards=args.shard,
-                routing=args.routing,
-            )
+            owned = EvolutionRuntime(transport="tcp", shards=args.shard)
         workers = args.workers or (
             len(args.shard) if args.transport == "tcp" else 0
         )
@@ -150,7 +139,7 @@ def cmd_sweep(args) -> int:
                 # publication are paid on *every* repeat — the cold
                 # baseline the persistent default amortizes away (and
                 # what the scaling bench measures).
-                with EvolutionRuntime(routing=args.routing) as runtime:
+                with EvolutionRuntime() as runtime:
                     report = sweep_choreography(
                         choreography,
                         witnesses=args.witnesses,
@@ -163,18 +152,14 @@ def cmd_sweep(args) -> int:
                     # counters.
                     stats_line = runtime.describe()
             else:
-                runtime = owned
-                if runtime is None and args.routing != "digest":
-                    runtime = EvolutionRuntime(routing=args.routing)
-                    owned = runtime
                 report = sweep_choreography(
                     choreography,
                     witnesses=args.witnesses,
                     workers=workers,
-                    runtime=runtime,
+                    runtime=owned,
                     stop_on_first_inconsistency=args.fail_fast,
                 )
-                stats_line = (runtime or get_runtime()).describe()
+                stats_line = (owned or get_runtime()).describe()
     finally:
         if owned is not None:
             owned.shutdown()
@@ -602,21 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST:PORT",
         help="address of a running `repro shard-worker` (repeatable; "
         "implies the TCP fleet size)",
-    )
-    sweep_cmd.add_argument(
-        "--routing",
-        choices=["digest", "positional"],
-        default="digest",
-        help="shard routing: rendezvous hashing on kernel digests "
-        "(default) or the legacy positional chunk affinity",
-    )
-    sweep_cmd.add_argument(
-        "--scheduler",
-        choices=["pipeline", "barrier"],
-        default="",
-        help="fan-out scheduler: pipelined micro-chunks with "
-        "streaming completion (default) or the legacy "
-        "one-chunk-per-shard barrier",
     )
     sweep_cmd.add_argument(
         "--fail-fast",

@@ -32,10 +32,9 @@ entire evolution session:
   so a repeated *or evolved* grid keeps landing every pair on the shard
   that already holds its kernels, replay tries and
   :data:`~repro.afsa.lazy.VERDICTS` entries.  A hot-shard spill policy
-  overflows past the load cap to the next rendezvous candidate.  The
-  legacy positional affinity (chunk ``k`` → shard ``k``) survives as
-  ``routing="positional"`` for the regression tests and the scaling
-  bench's baseline.
+  overflows past the load cap to the next rendezvous candidate.  Every
+  fan-out — sweeps and fleet migration alike — goes through the one
+  pipelined scheduler, :meth:`EvolutionRuntime.map_streaming`.
 * **pluggable transport** — shards are either local single-process
   ``multiprocessing`` pools (the default) or remote workers reached
   over the length-prefixed TCP protocol of
@@ -388,21 +387,10 @@ def leaked_segments(before: set[str]) -> set[str]:
     return shm_segments() - before - owned
 
 
-#: Routing modes: content-hash rendezvous (the default) or the legacy
-#: positional chunk k → shard k affinity.
-ROUTING_DIGEST = "digest"
-ROUTING_POSITIONAL = "positional"
-
 #: Transports: local forked single-process pools, or remote workers
 #: over the length-prefixed TCP protocol of :mod:`repro.core.transport`.
 TRANSPORT_MP = "mp"
 TRANSPORT_TCP = "tcp"
-
-#: Grid schedulers: the pipelined micro-chunk scheduler (the default)
-#: or the legacy one-chunk-per-shard barrier (the bench baseline).
-#: ``REPRO_SWEEP_PIPELINE=0`` / ``=1`` overrides per process.
-SCHEDULER_PIPELINE = "pipeline"
-SCHEDULER_BARRIER = "barrier"
 
 #: Cap on the auto-sized shard fleet: dispatches that never name a
 #: worker count get ``min(os.cpu_count(), _MAX_AUTO_SHARDS)`` shards.
@@ -425,6 +413,26 @@ def default_worker_count() -> int:
     the chunk count (a 2-chunk dispatch on a 16-core box should still
     leave the fleet sized for the grids that follow it)."""
     return max(1, min(os.cpu_count() or 1, _MAX_AUTO_SHARDS))
+
+
+def _injected_fault_delay(item_count: int) -> None:
+    """Test-only straggler injection, a no-op in production.
+
+    ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_item`` entries
+    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — stamped
+    into the environment by :meth:`EvolutionRuntime.ensure_pool` as it
+    forks each shard — matches a slot sleeps ``seconds_per_item ×
+    items`` before running its chunk.  Sweep and migration chunk
+    workers both call it, so either fan-out can be given a straggler.
+    """
+    spec = os.environ.get("REPRO_SWEEP_FAULT")
+    if not spec:
+        return
+    slot = os.environ.get("REPRO_SHARD_SLOT", "")
+    for part in spec.split(","):
+        shard, _, per_item = part.partition(":")
+        if shard == slot and per_item:
+            time.sleep(float(per_item) * max(1, item_count))
 
 
 class _Chunk:
@@ -454,49 +462,39 @@ class EvolutionRuntime:
     """Shared fan-out runtime: one arena, one long-lived worker fleet.
 
     Workers are *sharded*: each is its own single-process pool (or one
-    remote TCP worker), and with the default ``routing="digest"`` every
-    chunk reaches the shard that rendezvous hashing assigns its content
-    digests — so worker-local caches pay off for repeated *and evolved*
-    grids alike, because the mapping depends on what a pair *is*, not
-    where it sits in the dispatch.  ``routing="positional"`` keeps the
-    legacy call-order affinity (payload ``i`` → shard ``i mod shards``)
-    for regression baselines.  The fleet is started lazily at the first
-    dispatch and *grows on demand* without recycling the existing
-    shards (their caches stay warm); :meth:`restart_pool` recycles all
-    of them — the cold-restart case the invariance suite pins down.
-    ``stats()`` exposes the running counters the sweep report, the
-    service ``/metrics`` and the scaling bench read.
+    remote TCP worker), and every chunk reaches the shard that
+    rendezvous hashing assigns its content key — so worker-local caches
+    pay off for repeated *and evolved* grids alike, because the mapping
+    depends on what an item *is*, not where it sits in the dispatch.
+    The fleet is started lazily at the first dispatch and *grows on
+    demand* without recycling the existing shards (their caches stay
+    warm); :meth:`restart_pool` recycles all of them — the
+    cold-restart case the invariance suite pins down.  ``stats()``
+    exposes the running counters the sweep report, the service
+    ``/metrics`` and the scaling bench read.
     """
 
     def __init__(
         self,
         workers: int = 0,
         arena_maxsize: int = 256,
-        routing: str = ROUTING_DIGEST,
         spill_factor: float = 2.0,
         transport: str = TRANSPORT_MP,
         shards: list[str] | None = None,
-        scheduler: str = SCHEDULER_PIPELINE,
         window: int = 2,
         chunks_per_shard: int = 6,
         speculate: bool = True,
         speculate_multiple: float = 4.0,
         speculate_floor_s: float = 0.05,
     ):
-        if routing not in (ROUTING_DIGEST, ROUTING_POSITIONAL):
-            raise ValueError(f"unknown routing mode: {routing!r}")
         if transport not in (TRANSPORT_MP, TRANSPORT_TCP):
             raise ValueError(f"unknown transport: {transport!r}")
         if transport == TRANSPORT_TCP and not shards:
             raise ValueError("tcp transport needs shard addresses")
-        if scheduler not in (SCHEDULER_PIPELINE, SCHEDULER_BARRIER):
-            raise ValueError(f"unknown scheduler: {scheduler!r}")
         self.workers = workers
-        self.routing = routing
         self.spill_factor = spill_factor
         self.transport = transport
         self.shard_addresses = list(shards or [])
-        self.scheduler = scheduler
         self.window = max(1, window)
         self.chunks_per_shard = max(1, chunks_per_shard)
         self.speculate = speculate
@@ -559,8 +557,8 @@ class EvolutionRuntime:
         addresses: every shard is connected on first use and *workers*
         only caps how many dispatches fan out.  Each forked shard
         inherits its slot index via the ``REPRO_SHARD_SLOT``
-        environment variable (the straggler fault-injection hook keys
-        on it)."""
+        environment variable (:func:`_injected_fault_delay` keys on
+        it)."""
         if self._closed:
             raise RuntimeError("runtime is shut down")
         if self.transport == TRANSPORT_TCP:
@@ -630,147 +628,36 @@ class EvolutionRuntime:
             return (digest, None)
         return (digest, self.arena.locator(digest))
 
-    def map(
-        self, func, payloads, workers: int | None = None, shard_of=None
-    ) -> list:
-        """Run ``func`` over *payloads* on the persistent shards.
+    def map_chunked(self, func, items, payload_of, workers: int, key_of):
+        """Fan *items* out and reassemble the results in input order.
 
-        ``shard_of`` (a list aligned with *payloads*) carries the
-        router's explicit placement; without it payload ``i`` goes to
-        shard ``i mod shards``.  Results come back in payload order, so
-        verdicts are independent of worker count and of how often the
-        fleet was restarted in between.  Without an explicit worker
-        count the fleet is sized by :func:`default_worker_count`, not
-        by ``len(payloads)``.
-        """
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        self.ensure_pool(workers or 0)
-        self.dispatches += 1
-        self.tasks += len(payloads)
-        shards = self._shards
-        if shard_of is None:
-            shard_of = [
-                index % len(shards) for index in range(len(payloads))
-            ]
-        pending = [
-            shards[shard].apply_async(func, (payload,))
-            for shard, payload in zip(shard_of, payloads)
-        ]
-        return [result.get() for result in pending]
-
-    def map_chunked(
-        self, func, items, payload_of, workers: int, key_of=None
-    ):
-        """Fan *items* out in routed chunks and reassemble.
-
-        With ``key_of`` given and digest routing active, every item is
-        assigned by rendezvous hashing on ``key_of(item)`` (with hot-
-        shard spill, :func:`repro.core.routing.route`) and the chunks
-        dispatch to *exactly* their assigned shards.  Without a key
-        function — or under ``routing="positional"`` — chunk ``k`` is
-        ``items[k::pool_size]`` and dispatches to shard ``k``, the
-        legacy call-order affinity.  ``payload_of(chunk)`` builds each
-        worker payload; *func* must return ``(chunk_results, extra)``
-        with ``chunk_results`` aligned to its chunk.  Returns
-        ``(results, extras, routing_info)`` with *results* in input
-        order for every worker count, routing mode and transport —
-        the chunking and its inverse live only here, so the in-order
-        determinism guarantee and the shard-affinity contract cannot
-        drift apart between consumers.
+        The batch face of :meth:`map_streaming`, for consumers that
+        need every result before they go on (fleet migration): the
+        same rendezvous routing on ``key_of(item)``, in-flight window,
+        speculation and drain, but one chunk per shard — its whole
+        routed share — rather than EWMA-sized micro-chunks, which only
+        add per-chunk dispatch cost when nothing consumes results
+        early.  ``payload_of(chunk)`` builds each worker payload;
+        *func* must return ``(chunk_results, extra)`` with
+        ``chunk_results`` aligned to its chunk.  Returns ``(results,
+        extras, info)``: *results* in input order for every worker
+        count and transport, *extras* in completion order, and *info*
+        the dispatch's placement and scheduler counters.
         """
         items = list(items)
-        if not items:
-            return [], [], {"mode": self.routing, "loads": [], "spilled": 0}
-        if self.transport == TRANSPORT_TCP:
-            self.ensure_pool(0)
-            pool_size = len(self._shards)
-        else:
-            pool_size = min(workers, len(items))
         results: list = [None] * len(items)
         extras: list = []
-        if key_of is None or self.routing == ROUTING_POSITIONAL:
-            chunks = [items[k::pool_size] for k in range(pool_size)]
-            raw = self.map(
-                func,
-                [payload_of(chunk) for chunk in chunks],
-                workers=pool_size,
-            )
-            for k, (chunk_results, extra) in enumerate(raw):
-                extras.append(extra)
-                for offset, result in enumerate(chunk_results):
-                    results[offset * pool_size + k] = result
-            self.routed_tasks += len(items)
-            return results, extras, {
-                "mode": ROUTING_POSITIONAL,
-                "loads": [len(chunk) for chunk in chunks],
-                "spilled": 0,
-            }
-        self.ensure_pool(pool_size)
-        pool_size = len(self._shards)
-        assignments, spilled = route(
-            [key_of(item) for item in items], pool_size, self.spill_factor
-        )
-        by_shard: OrderedDict = OrderedDict()
-        for index, shard in enumerate(assignments):
-            by_shard.setdefault(shard, []).append(index)
-        targets = sorted(by_shard)
-        raw = self.map(
-            func,
-            [
-                payload_of([items[index] for index in by_shard[shard]])
-                for shard in targets
-            ],
-            workers=pool_size,
-            shard_of=targets,
-        )
-        loads = [0] * pool_size
-        for shard, (chunk_results, extra) in zip(targets, raw):
+        info: dict = {}
+        for indices, chunk_results, extra in self.map_streaming(
+            func, items, payload_of, workers, key_of, info=info,
+            _chunk_size=len(items),
+        ):
             extras.append(extra)
-            loads[shard] = len(by_shard[shard])
-            for index, result in zip(by_shard[shard], chunk_results):
+            for index, result in zip(indices, chunk_results):
                 results[index] = result
-        self.routed_tasks += len(items)
-        self.routing_spilled += spilled
-        return results, extras, {
-            "mode": ROUTING_DIGEST,
-            "loads": loads,
-            "spilled": spilled,
-        }
+        return results, extras, info
 
     # -- pipelined scheduler -----------------------------------------------
-
-    def scheduler_mode(self) -> str:
-        """The effective grid scheduler: the configured one, unless the
-        ``REPRO_SWEEP_PIPELINE`` environment variable forces pipeline
-        (``1``) or barrier (``0``) for this process — how CI re-runs
-        the invariance suite under each scheduler without new flags."""
-        forced = os.environ.get("REPRO_SWEEP_PIPELINE")
-        if forced is not None and forced != "":
-            if forced in ("0", "off", "barrier"):
-                return SCHEDULER_BARRIER
-            return SCHEDULER_PIPELINE
-        return self.scheduler
-
-    def _speculation_policy(self) -> tuple[bool, float, float]:
-        """``(enabled, multiple, floor_seconds)`` after applying the
-        ``REPRO_SWEEP_SPECULATE`` override: ``0``/``off`` disables
-        backup dispatches, ``force`` speculates near-immediately (the
-        CI forced-speculation run and the straggler bench), a float
-        replaces the latency multiple."""
-        forced = os.environ.get("REPRO_SWEEP_SPECULATE")
-        if forced:
-            lowered = forced.lower()
-            if lowered in ("0", "off", "no"):
-                return False, self.speculate_multiple, self.speculate_floor_s
-            if lowered in ("1", "force", "always"):
-                return True, 0.0, 0.002
-            try:
-                return True, float(forced), self.speculate_floor_s
-            except ValueError:
-                pass
-        return self.speculate, self.speculate_multiple, self.speculate_floor_s
 
     def _chunk_size_for(self, n_items: int, pool_size: int) -> int:
         """Adaptive micro-chunk size: start from the configured
@@ -826,15 +713,18 @@ class EvolutionRuntime:
             )
 
     def map_streaming(
-        self, func, items, payload_of, workers: int, key_of=None,
-        info: dict | None = None,
+        self, func, items, payload_of, workers: int, key_of,
+        info: dict | None = None, _chunk_size: int = 0,
     ):
         """Pipelined fan-out: yield chunk results in completion order.
 
-        The streaming counterpart of :meth:`map_chunked` and the heart
-        of the pipelined scheduler.  *items* are split into many
-        rendezvous-routed micro-chunks (:meth:`_chunk_size_for`), each
-        shard holds a bounded window of in-flight chunks, and completed
+        The runtime's one scheduler (:meth:`map_chunked` collects it
+        into input order).  Every item is routed by rendezvous hashing
+        on ``key_of(item)`` with hot-shard spill
+        (:func:`repro.core.routing.route`), each shard's share is split
+        into micro-chunks (:meth:`_chunk_size_for`, or a fixed
+        ``_chunk_size`` from :meth:`map_chunked`), each shard holds a
+        bounded window of in-flight chunks, and completed
         chunks are yielded as ``(indices, chunk_results, extra)``
         tuples **as they arrive** — the consumer folds verdicts (and
         the service emits NDJSON lines) without waiting for a barrier.
@@ -865,8 +755,7 @@ class EvolutionRuntime:
         if info is None:
             info = {}
         info.update({
-            "mode": self.routing, "loads": [], "spilled": 0,
-            "scheduler": SCHEDULER_PIPELINE, "chunks": 0,
+            "loads": [], "spilled": 0, "chunks": 0,
             "chunk_size": 0, "speculated": 0, "spec_wins": 0,
             "stolen": 0, "cancelled": 0, "inflight_high_water": 0,
         })
@@ -881,17 +770,8 @@ class EvolutionRuntime:
         self.tasks += len(items)
         self.routed_tasks += len(items)
 
-        if key_of is None or self.routing == ROUTING_POSITIONAL:
-            keys = None
-            assignments = [index % pool_size for index in range(len(items))]
-            spilled = 0
-            info["mode"] = ROUTING_POSITIONAL
-        else:
-            keys = [key_of(item) for item in items]
-            assignments, spilled = route(
-                keys, pool_size, self.spill_factor
-            )
-            info["mode"] = ROUTING_DIGEST
+        keys = [key_of(item) for item in items]
+        assignments, spilled = route(keys, pool_size, self.spill_factor)
         self.routing_spilled += spilled
         loads = [0] * pool_size
         per_shard: OrderedDict = OrderedDict()
@@ -901,7 +781,9 @@ class EvolutionRuntime:
         info["loads"] = loads
         info["spilled"] = spilled
 
-        chunk_size = self._chunk_size_for(len(items), pool_size)
+        chunk_size = _chunk_size or self._chunk_size_for(
+            len(items), pool_size
+        )
         info["chunk_size"] = chunk_size
         queued: dict = {shard: deque() for shard in range(pool_size)}
         total_chunks = 0
@@ -909,18 +791,11 @@ class EvolutionRuntime:
             indices = per_shard[shard]
             for start in range(0, len(indices), chunk_size):
                 part = indices[start:start + chunk_size]
-                if keys is not None:
-                    candidates = rendezvous_rank(keys[part[0]], pool_size)
-                else:
-                    candidates = [
-                        (shard + step) % pool_size
-                        for step in range(pool_size)
-                    ]
                 chunk = _Chunk(
                     indices=part,
                     payload=payload_of([items[index] for index in part]),
                     shard=shard,
-                    candidates=candidates,
+                    candidates=rendezvous_rank(keys[part[0]], pool_size),
                 )
                 queued[shard].append(chunk)
                 self._record_chunk_size(len(part))
@@ -937,7 +812,6 @@ class EvolutionRuntime:
         outstanding = 0
         active: dict = {}
         high_water = 0
-        speculate, multiple, floor_s = self._speculation_policy()
 
         def dispatch(chunk: _Chunk, shard: int) -> None:
             nonlocal outstanding, high_water
@@ -965,7 +839,10 @@ class EvolutionRuntime:
             )
 
         def straggler_threshold() -> float:
-            return multiple * (self.chunk_latency_ewma or 0.0) + floor_s
+            return (
+                self.speculate_multiple * (self.chunk_latency_ewma or 0.0)
+                + self.speculate_floor_s
+            )
 
         def oldest_inflight_age(shard: int, now: float) -> float:
             """Age of *shard*'s oldest unanswered attempt (0.0 when
@@ -1028,7 +905,7 @@ class EvolutionRuntime:
                     dispatch(chunk, shard)
 
         def maybe_speculate(now: float) -> None:
-            if not speculate:
+            if not self.speculate:
                 return
             threshold = straggler_threshold()
             for chunk in list(active.values()):
@@ -1059,11 +936,11 @@ class EvolutionRuntime:
                 info["speculated"] += 1
                 dispatch(chunk, target)
 
-        def settle(event) -> _Chunk | None:
-            """Account one completion event; returns the chunk when it
-            is this chunk's *first* (winning) result."""
+        def release(event) -> None:
+            """Free one finished attempt's window slot and fold its
+            latency into its shard's EWMA (winners and losers alike)."""
             nonlocal outstanding
-            chunk, shard, attempt, value, error = event
+            chunk, shard, attempt, _, error = event
             shard_inflight[shard] -= 1
             shard_busy[shard].pop((id(chunk), attempt), None)
             outstanding -= 1
@@ -1075,6 +952,12 @@ class EvolutionRuntime:
                     time.monotonic() - chunk.attempts[attempt][1],
                     len(chunk.indices),
                 )
+
+        def settle(event) -> _Chunk | None:
+            """Account one completion event; returns the chunk when it
+            is this chunk's *first* (winning) result."""
+            release(event)
+            chunk, _, attempt, value, error = event
             if chunk.done:
                 return None
             if error is not None:
@@ -1132,18 +1015,7 @@ class EvolutionRuntime:
                     event = completions.get(timeout=60)
                 except queue.Empty:  # pragma: no cover - hung worker
                     break
-                chunk, shard, attempt, _, error = event
-                shard_inflight[shard] -= 1
-                shard_busy[shard].pop((id(chunk), attempt), None)
-                outstanding -= 1
-                self.inflight -= 1
-                chunk.outstanding -= 1
-                if error is None:
-                    self._observe_shard_latency(
-                        shard,
-                        time.monotonic() - chunk.attempts[attempt][1],
-                        len(chunk.indices),
-                    )
+                release(event)
 
     def stats(self) -> dict:
         """Running counters (arena + pool + routing) as one flat dict."""
@@ -1158,12 +1030,10 @@ class EvolutionRuntime:
             "dispatches": self.dispatches,
             "tasks": self.tasks,
             "transport": self.transport,
-            "routing": self.routing,
             "routed_tasks": self.routed_tasks,
             "routing_spilled": self.routing_spilled,
             "payload_fetches": self.payload_fetches,
             "payload_fetch_bytes": self.payload_fetch_bytes,
-            "scheduler": self.scheduler_mode(),
             "chunks_dispatched": self.chunks_dispatched,
             "speculative_dispatches": self.speculative_dispatches,
             "speculative_wins": self.speculative_wins,
@@ -1188,12 +1058,12 @@ class EvolutionRuntime:
             f"({stats['published_bytes']} bytes), "
             f"{stats['arena_hits']} hit(s), "
             f"{stats['arena_dedup_hits']} dedup hit(s); "
-            f"routing ({stats['routing']}/{stats['transport']}): "
+            f"routing ({stats['transport']}): "
             f"{stats['routed_tasks']} routed, "
             f"{stats['routing_spilled']} spill(s), "
             f"{stats['payload_fetches']} payload fetch(es) "
             f"({stats['payload_fetch_bytes']} bytes); "
-            f"scheduler ({stats['scheduler']}): "
+            "scheduler: "
             f"{stats['chunks_dispatched']} chunk(s), "
             f"{stats['speculative_dispatches']} speculated "
             f"({stats['speculative_wins']} win(s)), "

@@ -42,8 +42,8 @@ The sweep engine batches the whole pair grid into one pass:
   worker pool is long-lived (its kernel memos and
   :data:`~repro.afsa.lazy.VERDICTS` caches survive across sweeps),
   and results come back in input order, so verdicts and witnesses are
-  identical regardless of worker count, routing mode, transport, pool
-  restarts, or how often the session swept before (the determinism
+  identical regardless of worker count, transport, pool restarts,
+  completion order, or how often the session swept before (the determinism
   the test suite asserts).  Re-sweeping an unchanged choreography
   ships **zero** kernel payloads — every publish is an arena hit, and
   over TCP no fetch-on-miss fires.
@@ -51,8 +51,6 @@ The sweep engine batches the whole pair grid into one pass:
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
@@ -70,9 +68,8 @@ from repro.afsa.lazy import (
 from repro.afsa.serialize import afsa_from_json, kernel_digest
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.runtime import (
-    SCHEDULER_BARRIER,
-    SCHEDULER_PIPELINE,
     EvolutionRuntime,
+    _injected_fault_delay,
     get_runtime,
     kernel_for,
 )
@@ -124,17 +121,16 @@ class SweepReport:
     the witness-path deltas, aggregated the same way: streaming
     extractions, on-demand frontier expansions those needed, and
     test-only eager-oracle invocations — the last must stay zero on
-    every production sweep.  ``routing_mode`` / ``shard_loads`` /
-    ``routing_spilled`` describe how the fan-out placed this sweep's
-    pairs (rendezvous digest routing vs. legacy positional affinity,
-    the per-shard pair counts, and how many pairs overflowed their top
-    rendezvous candidate under the hot-shard spill cap);
+    every production sweep.  ``shard_loads`` / ``routing_spilled``
+    describe how the fan-out's rendezvous routing placed this sweep's
+    pairs (the per-shard pair counts, and how many pairs overflowed
+    their top candidate under the hot-shard spill cap);
     ``payload_fetches`` / ``payload_fetch_bytes`` count the TCP
     fetch-on-miss traffic — a repeated sweep reports zero on any
-    transport.  ``scheduler`` / ``chunks`` / ``speculative_*`` /
-    ``stolen_chunks`` / ``cancelled_chunks`` / ``inflight_high_water``
-    describe the pipelined scheduler's behaviour on this sweep (empty/
-    zero on serial sweeps); ``undecided`` counts the pairs a fail-fast
+    transport.  ``chunks`` / ``speculative_*`` / ``stolen_chunks`` /
+    ``cancelled_chunks`` / ``inflight_high_water`` describe the
+    pipelined scheduler's behaviour on this sweep (empty/zero on
+    serial sweeps); ``undecided`` counts the pairs a fail-fast
     sweep (``stop_on_first_inconsistency``) cancelled before they were
     checked — a completed sweep always reports zero.
     """
@@ -150,12 +146,10 @@ class SweepReport:
     witness_lazy: int = 0
     witness_expansions: int = 0
     eager_oracle: int = 0
-    routing_mode: str = ""
     shard_loads: list = field(default_factory=list)
     routing_spilled: int = 0
     payload_fetches: int = 0
     payload_fetch_bytes: int = 0
-    scheduler: str = ""
     chunks: int = 0
     speculative_dispatches: int = 0
     speculative_wins: int = 0
@@ -197,11 +191,11 @@ class SweepReport:
                 f"kernel-arena: {self.arena_published} publish(es) / "
                 f"{self.arena_hits} hit(s)"
             )
-        if self.routing_mode:
+        if self.shard_loads:
             loads = ", ".join(str(load) for load in self.shard_loads)
             line = (
-                f"shard-routing ({self.routing_mode}): "
-                f"loads [{loads}] / {self.routing_spilled} spill(s)"
+                f"shard-routing: loads [{loads}] / "
+                f"{self.routing_spilled} spill(s)"
             )
             if self.payload_fetches:
                 line += (
@@ -209,9 +203,9 @@ class SweepReport:
                     f"({self.payload_fetch_bytes} bytes)"
                 )
             lines.append(line)
-        if self.scheduler == "pipeline":
+        if self.chunks:
             line = (
-                f"scheduler (pipeline): {self.chunks} chunk(s), "
+                f"scheduler: {self.chunks} chunk(s), "
                 f"in-flight high water {self.inflight_high_water}"
             )
             if self.speculative_dispatches:
@@ -276,12 +270,10 @@ class SweepReport:
                 "witness_lazy": self.witness_lazy,
                 "witness_expansions": self.witness_expansions,
                 "eager_oracle": self.eager_oracle,
-                "routing_mode": self.routing_mode,
                 "shard_loads": list(self.shard_loads),
                 "routing_spilled": self.routing_spilled,
                 "payload_fetches": self.payload_fetches,
                 "payload_fetch_bytes": self.payload_fetch_bytes,
-                "scheduler": self.scheduler,
                 "chunks": self.chunks,
                 "speculative_dispatches": self.speculative_dispatches,
                 "speculative_wins": self.speculative_wins,
@@ -348,28 +340,6 @@ def check_pair(
 
 
 # -- persistent-runtime fan-out ------------------------------------------------
-
-
-def _injected_fault_delay(pair_count: int) -> None:
-    """Test-only straggler injection, a no-op in production.
-
-    ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_pair`` entries
-    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — stamped
-    into the environment by ``ensure_pool`` as it forks each shard —
-    matches a slot sleeps ``seconds_per_pair × pairs`` before checking
-    its chunk.  Proportional-to-chunk delay is what makes the two
-    schedulers diverge measurably: the barrier path eats the slow
-    shard's whole backlog, the pipelined path bounds it to the
-    in-flight window (and speculation re-runs it elsewhere).
-    """
-    spec = os.environ.get("REPRO_SWEEP_FAULT")
-    if not spec:
-        return
-    slot = os.environ.get("REPRO_SHARD_SLOT", "")
-    for part in spec.split(","):
-        shard, _, per_pair = part.partition(":")
-        if shard == slot and per_pair:
-            time.sleep(float(per_pair) * max(1, pair_count))
 
 
 def _check_arena_chunk(payload):
@@ -455,12 +425,10 @@ def _empty_stats() -> dict:
         "witness_lazy": 0,
         "witness_expansions": 0,
         "eager_oracle": 0,
-        "routing_mode": "",
         "shard_loads": [],
         "routing_spilled": 0,
         "payload_fetches": 0,
         "payload_fetch_bytes": 0,
-        "scheduler": "",
         "chunks": 0,
         "speculative_dispatches": 0,
         "speculative_wins": 0,
@@ -492,8 +460,8 @@ def _sweep_grid_streaming(
     """Check a deduplicated grid, yielding verdicts as they complete.
 
     Yields ``(position, (consistent, witness))`` where *position*
-    indexes into *index_pairs* — **completion order** under the
-    pipelined scheduler, input order on the serial and barrier paths.
+    indexes into *index_pairs* — **completion order** on the fan-out
+    path, input order on the serial one.
     Verdicts and witnesses are a pure function of the grid either way
     (ARCHITECTURE.md contract 9): every yield is tagged with its input
     position, and pair identity is the kernels' content digest.
@@ -542,9 +510,8 @@ def _sweep_grid_fanout(
     stop_on_first: bool,
 ):
     """The fan-out half of :func:`_sweep_grid_streaming`: publish the
-    grid's kernels once, dispatch through the runtime's scheduler
-    (pipelined micro-chunks by default, the one-chunk-per-shard
-    barrier when selected), and yield verdicts chunk by chunk."""
+    grid's kernels once, dispatch through the runtime's pipelined
+    scheduler, and yield verdicts chunk by chunk as they complete."""
     published0 = runtime.arena.published
     arena_hits0 = runtime.arena.hits
     fetches0 = runtime.payload_fetches
@@ -567,8 +534,6 @@ def _sweep_grid_fanout(
     route_digests = [
         kernel_digest(_lineage_root(kernel)) for kernel in kernels
     ]
-    scheduler = runtime.scheduler_mode()
-    stats["scheduler"] = scheduler
     try:
         with runtime.published(
             list(kernels) + list(ancestors.values())
@@ -587,68 +552,41 @@ def _sweep_grid_fanout(
             def key_of(pair):
                 return route_digests[pair[0]] + route_digests[pair[1]]
 
-            if scheduler == SCHEDULER_BARRIER:
-                results, extras, routing = runtime.map_chunked(
-                    _check_arena_chunk,
-                    index_pairs,
-                    payload_of,
-                    workers,
-                    key_of=key_of,
-                )
-                stats["routing_mode"] = routing["mode"]
-                stats["shard_loads"] = routing["loads"]
-                stats["routing_spilled"] = routing["spilled"]
-                for hits, misses, warm_delta in extras:
+            info: dict = {}
+            grid = runtime.map_streaming(
+                _check_arena_chunk,
+                index_pairs,
+                payload_of,
+                workers,
+                key_of=key_of,
+                info=info,
+            )
+            try:
+                stopped = False
+                for positions, chunk_results, extra in grid:
+                    hits, misses, warm_delta = extra
                     stats["cache_hits"] += hits
                     stats["cache_misses"] += misses
                     _merge_warm_delta(stats, warm_delta)
-                for position, result in enumerate(results):
-                    yield position, result
-                    if stop_on_first and not result[0]:
-                        break
-            else:
-                info: dict = {}
-                grid = runtime.map_streaming(
-                    _check_arena_chunk,
-                    index_pairs,
-                    payload_of,
-                    workers,
-                    key_of=key_of,
-                    info=info,
-                )
-                try:
-                    stopped = False
-                    for positions, chunk_results, extra in grid:
-                        hits, misses, warm_delta = extra
-                        stats["cache_hits"] += hits
-                        stats["cache_misses"] += misses
-                        _merge_warm_delta(stats, warm_delta)
-                        for position, result in zip(
-                            positions, chunk_results
-                        ):
-                            yield position, result
-                            if stop_on_first and not result[0]:
-                                stopped = True
-                                break
-                        if stopped:
+                    for position, result in zip(positions, chunk_results):
+                        yield position, result
+                        if stop_on_first and not result[0]:
+                            stopped = True
                             break
-                finally:
-                    # Cancels queued chunks and drains every attempt
-                    # before the arena pins are released below.
-                    grid.close()
-                    stats["routing_mode"] = info.get("mode", "")
-                    stats["shard_loads"] = info.get("loads", [])
-                    stats["routing_spilled"] = info.get("spilled", 0)
-                    stats["chunks"] = info.get("chunks", 0)
-                    stats["speculative_dispatches"] = info.get(
-                        "speculated", 0
-                    )
-                    stats["speculative_wins"] = info.get("spec_wins", 0)
-                    stats["stolen_chunks"] = info.get("stolen", 0)
-                    stats["cancelled_chunks"] = info.get("cancelled", 0)
-                    stats["inflight_high_water"] = info.get(
-                        "inflight_high_water", 0
-                    )
+                    if stopped:
+                        break
+            finally:
+                # Cancels queued chunks and drains every attempt
+                # before the arena pins are released below.
+                grid.close()
+                stats["shard_loads"] = info["loads"]
+                stats["routing_spilled"] = info["spilled"]
+                stats["chunks"] = info["chunks"]
+                stats["speculative_dispatches"] = info["speculated"]
+                stats["speculative_wins"] = info["spec_wins"]
+                stats["stolen_chunks"] = info["stolen"]
+                stats["cancelled_chunks"] = info["cancelled"]
+                stats["inflight_high_water"] = info["inflight_high_water"]
     finally:
         stats["arena_published"] = runtime.arena.published - published0
         stats["arena_hits"] = runtime.arena.hits - arena_hits0
@@ -668,7 +606,7 @@ def _sweep_kernel_grid(
     """Check a deduplicated grid: *kernels* holds one kernel per unique
     participant view, *index_pairs* the ``(left, right)`` indices into
     it.  Returns ``(results, stats)`` with results in input order for
-    every worker count, scheduler and transport; with ``workers > 1``
+    every worker count and transport; with ``workers > 1``
     the grid is dispatched through the (given or default) persistent
     runtime — pipelined completion order is reassembled here, so the
     batch API's determinism contract is untouched."""
@@ -803,12 +741,10 @@ def _report_from_stats(
         witness_lazy=stats["witness_lazy"],
         witness_expansions=stats["witness_expansions"],
         eager_oracle=stats["eager_oracle"],
-        routing_mode=stats["routing_mode"],
         shard_loads=stats["shard_loads"],
         routing_spilled=stats["routing_spilled"],
         payload_fetches=stats["payload_fetches"],
         payload_fetch_bytes=stats["payload_fetch_bytes"],
-        scheduler=stats["scheduler"],
         chunks=stats["chunks"],
         speculative_dispatches=stats["speculative_dispatches"],
         speculative_wins=stats["speculative_wins"],

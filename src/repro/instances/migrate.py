@@ -28,7 +28,11 @@ trace texts, workers resolve and memoize the kernels (and their replay
 tries) by digest across dispatches, trace classes route to shards by
 rendezvous hashing on model digest + trace content, and results return
 in input order, so verdicts and witnesses are identical for every
-worker count, routing mode, transport, and across pool restarts.  The residual-liveness verdicts themselves ride the memoized
+worker count, transport, completion order, and across pool restarts.
+The classes travel through the runtime's one pipelined scheduler
+(:meth:`~repro.core.runtime.EvolutionRuntime.map_chunked`, one chunk
+per shard), so migration gets the sweep's window, speculation and
+drain.  The residual-liveness verdicts themselves ride the memoized
 incremental good set of each model's kernel; repeated classifications
 against an unchanged model pair reuse it for free.
 
@@ -55,7 +59,12 @@ from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
 from repro.afsa.kernel import Kernel, kernel_of
-from repro.core.runtime import EvolutionRuntime, get_runtime, kernel_for
+from repro.core.runtime import (
+    EvolutionRuntime,
+    _injected_fault_delay,
+    get_runtime,
+    kernel_for,
+)
 from repro.instances.replay import (
     MIGRATABLE,
     PENDING,
@@ -287,6 +296,7 @@ def _classify_arena_chunk(payload):
     persist across a long-lived pool's tasks, under any segment name
     and on any transport), classify a chunk of classes."""
     new_ref, old_ref, traces, witnesses = payload
+    _injected_fault_delay(len(traces))
     new_kernel = kernel_for(new_ref)
     cache = ReplayCache.for_kernel(new_kernel)
     old_kernel = None

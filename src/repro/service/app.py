@@ -695,11 +695,12 @@ class ChoreoService:
         With ``"stream": true`` the response is chunked NDJSON: one
         verdict object per pair *as it is decided*, then a summary
         line with the aggregated counters — long sweeps surface
-        progress instead of a single late JSON.  With ``workers > 1``
-        the verdict lines come off the pipelined fan-out in
-        **completion order** (unspecified; see docs/API.md) — only the
-        trailing summary is ordered.  ``"stop_on_first_inconsistency":
-        true`` stops the sweep at the first failing pair; skipped
+        progress instead of a single late JSON.  The whole sweep runs as
+        one engine dispatch; with ``workers > 1`` the verdict lines
+        come off the pipelined fan-out in **completion order**
+        (unspecified; see docs/API.md) — only the trailing summary is
+        ordered.  ``"stop_on_first_inconsistency": true`` stops the
+        sweep at the first failing pair; skipped
         pairs are reported in the summary's ``undecided`` count.  An
         engine failure after the 200 head terminates the body with an
         ``{"error": ...}`` line instead of a summary.
@@ -735,66 +736,13 @@ class ChoreoService:
         admission = self.registry.admit(tenant)
 
         async def verdicts():
-            self.metrics.sweeps_executed += 1
-            pairs = await self._run_engine(
-                lambda: conversing_pairs(choreography)
-            )
-            totals = {"hits": 0, "misses": 0}
-            failures = 0
-            decided = 0
-            for left, right in pairs:
-
-                def compute_pair(left=left, right=right):
-                    hits0, misses0 = VERDICTS.stats()
-                    consistent, witness = check_pair(
-                        choreography.view(right, on=left),
-                        choreography.view(left, on=right),
-                        policy,
-                    )
-                    hits1, misses1 = VERDICTS.stats()
-                    return consistent, witness, (
-                        hits1 - hits0,
-                        misses1 - misses0,
-                    )
-
-                consistent, witness, (hits, misses) = (
-                    await self._run_engine(compute_pair)
-                )
-                totals["hits"] += hits
-                totals["misses"] += misses
-                decided += 1
-                if not consistent:
-                    failures += 1
-                yield {
-                    "left": left,
-                    "right": right,
-                    "consistent": consistent,
-                    "witness": (
-                        witness.describe()
-                        if witness is not None
-                        else None
-                    ),
-                }
-                if stop_on_first and failures:
-                    break
-            yield {
-                "summary": {
-                    "consistent": failures == 0,
-                    "pairs": len(pairs),
-                    "failures": failures,
-                    "cache_hits": totals["hits"],
-                    "cache_misses": totals["misses"],
-                    "undecided": len(pairs) - decided,
-                }
-            }
-
-        async def fanned_verdicts():
-            # One engine dispatch runs the whole pipelined sweep;
-            # verdicts cross back to the loop thread through an
-            # asyncio queue as each chunk completes, so NDJSON lines
-            # hit the wire in completion order.  If the client goes
-            # away mid-sweep the `abandoned` flag makes the engine
-            # thread close the stream, cancelling outstanding chunks.
+            # One engine dispatch runs the whole sweep (serial or
+            # fanned out); verdicts cross back to the loop thread
+            # through an asyncio queue as each pair is decided, so
+            # NDJSON lines hit the wire in completion order.  If the
+            # client goes away mid-sweep the `abandoned` flag makes
+            # the engine thread close the stream, cancelling
+            # outstanding chunks.
             self.metrics.sweeps_executed += 1
             loop = asyncio.get_running_loop()
             relay: asyncio.Queue = asyncio.Queue()
@@ -863,8 +811,6 @@ class ChoreoService:
                 abandoned.set()
                 await engine_done
 
-        source = fanned_verdicts if workers > 1 else verdicts
-
         async def stream():
             # The admission slot is held for the stream's lifetime —
             # a slow consumer keeps occupying its tenant's capacity.
@@ -873,7 +819,7 @@ class ChoreoService:
             # never-iterated case (Admission.release is idempotent).
             with admission:
                 try:
-                    async for record in source():
+                    async for record in verdicts():
                         yield (json.dumps(record) + "\n").encode("utf-8")
                 except Exception as error:  # noqa: BLE001 — the 200
                     # head is already on the wire; an engine failure

@@ -1,9 +1,10 @@
 """Tests for the benchmark report's perf-regression gate.
 
 This is the local demonstration the CI gate relies on: a deliberately
-slowed bench must fail ``--compare``, honest runs must pass, and the
-noise-tolerance rules (median-of-rounds, sub-floor benches skipped,
-unmatched benches never gating) must hold.
+slowed bench must fail its baseline's gate, honest runs must pass, and
+the noise-tolerance rules (median-of-rounds, sub-floor benches skipped,
+unmatched benches never gating) must hold.  ``main`` gates through a
+TOML manifest (``--gates``) that names each baseline with its policy.
 """
 
 import importlib.util
@@ -42,6 +43,22 @@ def _write(tmp_path, filename, benchmarks, cpu_count=None):
             "hardware": {"cpu_count": cpu_count, "platform": "test"}
         }
     path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def _manifest(tmp_path, *baselines, max_regress=1.25, min_median_ms=1.0):
+    """A gate manifest applying one policy to every given baseline."""
+    path = tmp_path / "gates.toml"
+    path.write_text(
+        "".join(
+            f"[{json.dumps(baseline)}]\n"
+            f"max_regress = {max_regress}\n"
+            f"min_median_ms = {min_median_ms}\n"
+            f"exclude = []\n\n"
+            for baseline in baselines
+        ),
+        encoding="utf-8",
+    )
     return str(path)
 
 
@@ -202,7 +219,7 @@ class TestCompare:
 
 
 class TestHardwareContext:
-    """``--compare`` sanity-checks the recorded CPU budget: mismatches
+    """``compare`` sanity-checks the recorded CPU budget: mismatches
     and missing context warn in the table but never gate."""
 
     def test_cpu_count_mismatch_warns_but_never_gates(self, tmp_path):
@@ -267,14 +284,50 @@ class TestHardwareContext:
 
 class TestMain:
     def test_main_exit_codes(self, tmp_path, baseline):
+        # Gates always calibrate, so the untouched rows anchor the
+        # machine factor at 1.0 and only the slowed bench moves.
+        untouched = [
+            _bench("test_minimize[512]", 1200.0),
+            _bench("test_retired[1]", 3.0),
+        ]
         slow = _write(
-            tmp_path, "slow.json", [_bench("test_emptiness[512]", 9.0)]
+            tmp_path, "slow.json",
+            [_bench("test_emptiness[512]", 9.0)] + untouched,
         )
         good = _write(
-            tmp_path, "good.json", [_bench("test_emptiness[512]", 5.0)]
+            tmp_path, "good.json",
+            [_bench("test_emptiness[512]", 5.0)] + untouched,
         )
-        assert report.main([good, "--compare", baseline]) == 0
-        assert report.main([slow, "--compare", baseline]) == 1
+        gates = _manifest(tmp_path, baseline)
+        assert report.main([good, "--gates", gates]) == 0
+        assert report.main([slow, "--gates", gates]) == 1
+
+    def test_manifest_names_the_regressed_baseline(self, tmp_path, capsys):
+        """One of two baselines regressed: exit 1, and the verdict
+        names that baseline and only that one."""
+        untouched = [
+            _bench("test_minimize[512]", 1200.0),
+            _bench("test_retired[1]", 3.0),
+        ]
+        regressed = _write(
+            tmp_path, "regressed.json",
+            [_bench("test_emptiness[512]", 6.0)] + untouched,
+        )
+        matching = _write(
+            tmp_path, "matching.json",
+            [_bench("test_emptiness[512]", 9.0)] + untouched,
+        )
+        run = _write(
+            tmp_path, "run.json",
+            [_bench("test_emptiness[512]", 9.0)] + untouched,
+        )
+        gates = _manifest(tmp_path, matching, regressed)
+        assert report.main([run, "--gates", gates, "--no-render"]) == 1
+        out = capsys.readouterr().out
+        verdict = out.strip().splitlines()[-1]
+        assert "1 of 2 GATE(S) FAILED" in verdict
+        assert regressed in verdict
+        assert matching not in verdict
 
     def test_main_without_compare_still_renders(self, tmp_path, capsys):
         run = _write(
@@ -298,7 +351,9 @@ class TestMain:
         base = _write(
             tmp_path, "base.json", [_bench("test_emptiness[512]", 6.0)]
         )
-        assert report.main([run, "--compare", base, "--no-render"]) == 0
+        gates = _manifest(tmp_path, base)
+        assert report.main([run, "--gates", gates, "--no-render"]) == 0
         out = capsys.readouterr().out
         assert "Scaling series" not in out
         assert "Regression gate" in out
+        assert "ALL 1 GATES PASSED" in out

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from repro.core.sweep import SweepReport
 from repro.service.app import ROUTES
 
 DOCS = Path(__file__).parent.parent / "docs" / "API.md"
@@ -29,6 +30,15 @@ def documented_endpoints() -> set:
 
 def live_endpoints() -> set:
     return {(route.method, route.path) for route in ROUTES}
+
+
+def documented_sweep_counters() -> set:
+    """Keys of the ``counters`` object in the ``POST /sweep`` response
+    example."""
+    text = DOCS.read_text(encoding="utf-8")
+    section = text.split("### POST /sweep", 1)[1].split("\n### ", 1)[0]
+    block = re.search(r'"counters":\s*\{(.*?)\}', section, re.DOTALL)
+    return set(re.findall(r'"(\w+)":', block.group(1)))
 
 
 def test_docs_file_exists():
@@ -78,3 +88,11 @@ def test_error_codes_in_docs_are_the_served_ones():
 def test_route_summaries_are_nonempty():
     for route in ROUTES:
         assert route.summary.strip(), route
+
+
+def test_sweep_counters_are_documented():
+    """The documented ``/sweep`` counters are exactly the keys
+    :meth:`SweepReport.as_dict` serves — an added, renamed or dropped
+    counter fails until docs/API.md follows."""
+    served = set(SweepReport().as_dict()["counters"])
+    assert documented_sweep_counters() == served

@@ -7,10 +7,11 @@ Four contracts are pinned down here:
   the chunk count of whatever dispatch arrived first;
 * **straggler tolerance** — with a fault-injected slow shard
   (``REPRO_SWEEP_FAULT``), the pipelined scheduler's wall clock is
-  bounded by the in-flight window while the barrier path degrades to
-  the slow shard's whole backlog, and forced speculation wins with
-  verdicts identical to serial (ARCHITECTURE.md contract 9:
-  completion-order independence);
+  bounded by the in-flight window, well under the analytic floor of a
+  one-chunk-per-shard barrier (the slow shard's routed share × its
+  per-pair delay), and forced speculation wins with verdicts
+  identical to serial (ARCHITECTURE.md contract 9: completion-order
+  independence);
 * **cancellation** — closing a streaming sweep counts the undispatched
   chunks as cancelled and drains every in-flight attempt, leaving the
   runtime with zero in-flight state (mp and TCP alike);
@@ -52,6 +53,15 @@ from repro.core.transport import (
 from repro.workload.generator import generate_choreography, random_afsa
 
 
+#: Runtime options that speculate on any chunk older than 2 ms.
+FORCED_SPECULATION = {"speculate_multiple": 0.0, "speculate_floor_s": 0.002}
+
+
+def _echo_chunk(chunk):
+    """A chunk worker returning its items unchanged (and no extra)."""
+    return list(chunk), None
+
+
 def _random_pairs(count: int, seed: int = 0, states: int = 8):
     return [
         (
@@ -62,6 +72,16 @@ def _random_pairs(count: int, seed: int = 0, states: int = 8):
         )
         for i in range(count)
     ]
+
+
+def _busier_shard(pairs) -> int:
+    """The slot of the shard that digest routing gives the larger
+    share of *pairs* on a 2-shard fleet (routing is deterministic
+    within a process, so a fresh runtime places them the same way)."""
+    with EvolutionRuntime() as rt:
+        _, stats = _sweep_pairs_stats(pairs, WITNESS_NONE, 2, rt)
+    loads = stats["shard_loads"]
+    return loads.index(max(loads))
 
 
 def _verdict_key(results):
@@ -83,17 +103,17 @@ class TestDefaultPoolSizing:
     def test_grid_dispatch_sizes_pool_from_cpu_not_chunks(
         self, monkeypatch
     ):
-        """Regression: a 5-payload dispatch without a worker count must
+        """Regression: a 5-item dispatch without a worker count must
         fork ``default_worker_count()`` shards, not 5."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with EvolutionRuntime() as rt:
-            out = rt.map(len, [[0]] * 5)
-            assert out == [1] * 5
+            out, _, _ = rt.map_chunked(_echo_chunk, range(5), list, 0, str)
+            assert out == list(range(5))
             assert rt.pool_size == 2
 
     def test_explicit_worker_count_still_wins(self):
         with EvolutionRuntime() as rt:
-            rt.map(len, [[0]] * 4, workers=3)
+            rt.map_chunked(_echo_chunk, range(4), list, 3, str)
             assert rt.pool_size == 3
 
 
@@ -101,58 +121,45 @@ class TestStragglerFaultInjection:
     def test_pipeline_bounds_straggler_barrier_degrades(
         self, monkeypatch
     ):
-        """With shard 0 sleeping 0.15 s per pair, the barrier path eats
-        its whole backlog while the pipelined path (window 1, forced
-        speculation) is bounded near one chunk time — and every verdict
-        and witness matches the serial sweep byte for byte."""
+        """With the busier shard sleeping 0.15 s per pair, a
+        one-chunk-per-shard barrier could finish no sooner than that
+        shard's routed share × 0.15 s; the pipelined path (window 1,
+        forced speculation) is bounded near one chunk time — and every
+        verdict and witness matches the serial sweep byte for byte."""
+        delay_s = 0.15
         pairs = _random_pairs(12, seed=4200)
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        monkeypatch.setenv("REPRO_SWEEP_FAULT", "0:0.15")
-
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "0")
-        with EvolutionRuntime() as rt:
-            start = time.monotonic()
-            barrier = sweep_pairs(
-                pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
-            )
-            barrier_elapsed = time.monotonic() - start
-        # Digest routing with the spill cap places at least 4 of the 12
-        # pairs on the slow shard; the barrier waits for all of them.
-        assert barrier_elapsed >= 0.5
-
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
-        monkeypatch.setenv("REPRO_SWEEP_SPECULATE", "force")
-        with EvolutionRuntime(window=1) as rt:
+        slow = _busier_shard(pairs)
+        monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:{delay_s}")
+        with EvolutionRuntime(window=1, **FORCED_SPECULATION) as rt:
             start = time.monotonic()
             pipelined, stats = _sweep_pairs_stats(
                 pairs, WITNESS_ALL, 2, rt
             )
             pipelined_elapsed = time.monotonic() - start
 
-        assert stats["scheduler"] == "pipeline"
+        # The barrier's analytic floor: the slow shard holds at least
+        # 6 of the 12 pairs, and a barrier waits for all of them.
+        assert stats["shard_loads"][slow] >= 6
+        barrier_floor = stats["shard_loads"][slow] * delay_s
         assert stats["speculative_dispatches"] >= 1
         assert stats["speculative_wins"] >= 1
         # Straggler work migrated: stolen from the backlog or won by a
         # backup attempt — the slow shard never runs its full share.
         assert stats["stolen_chunks"] + stats["speculative_wins"] >= 2
-        assert pipelined_elapsed <= 0.5 * barrier_elapsed
-        assert _verdict_key(barrier) == _verdict_key(serial)
+        assert pipelined_elapsed <= 0.5 * barrier_floor
         assert _verdict_key(pipelined) == _verdict_key(serial)
 
-    def test_forced_speculation_keeps_verdicts_identical(
-        self, monkeypatch
-    ):
+    def test_forced_speculation_keeps_verdicts_identical(self):
         """No fault injected: forced speculation (and the pipelined
         default) must still reproduce the serial sweep exactly."""
         pairs = _random_pairs(8, seed=77)
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
         with EvolutionRuntime() as rt:
             pipelined = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
-        monkeypatch.setenv("REPRO_SWEEP_SPECULATE", "force")
-        with EvolutionRuntime() as rt:
+        with EvolutionRuntime(**FORCED_SPECULATION) as rt:
             speculated = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
@@ -166,8 +173,6 @@ class TestCancellation:
         never-run chunks as cancelled and leaves zero in-flight
         state — the arena unpins only after the drain."""
         monkeypatch.setenv("REPRO_SWEEP_FAULT", "0:0.1,1:0.1")
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
-        monkeypatch.setenv("REPRO_SWEEP_SPECULATE", "0")
         kernels = [
             kernel_of(afsa)
             for pair in _random_pairs(8, seed=900, states=6)
@@ -175,14 +180,13 @@ class TestCancellation:
         ]
         index_pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         stats = _empty_stats()
-        with EvolutionRuntime(window=1) as rt:
+        with EvolutionRuntime(window=1, speculate=False) as rt:
             grid = _sweep_grid_streaming(
                 kernels, index_pairs, WITNESS_NONE, 2, rt, stats
             )
             next(grid)
             grid.close()
             assert rt.inflight == 0
-        assert stats["scheduler"] == "pipeline"
         assert stats["cancelled_chunks"] >= 1
         assert rt.cancelled_chunks >= 1
 
@@ -216,7 +220,7 @@ class TestCancellation:
         assert "undecided" in report.describe()
         assert report.as_dict()["undecided"] == 1
 
-    def test_fanned_fail_fast_leaves_no_inflight(self, monkeypatch):
+    def test_fanned_fail_fast_leaves_no_inflight(self):
         from repro.core.choreography import Choreography
         from repro.scenario.procurement import (
             accounting_private_variant_change,
@@ -225,7 +229,6 @@ class TestCancellation:
         )
         from repro.scenario.procurement import accounting_private
 
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
         choreography = Choreography("procurement")
         for build in (
             buyer_private, accounting_private, logistics_private
@@ -325,13 +328,10 @@ class TestTcpPipelining:
             shard.join()
             listener.close()
 
-    def test_tcp_pipelined_sweep_matches_serial_report(
-        self, monkeypatch
-    ):
+    def test_tcp_pipelined_sweep_matches_serial_report(self):
         """Interleaved replies on one connection reassemble to a
         byte-identical report vs serial, and a cancelled TCP sweep
         leaves no orphaned in-flight frame."""
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
         choreography = generate_choreography(seed=23, spokes=3, steps=3)
         serial = sweep_choreography(choreography, witnesses=WITNESS_ALL)
         server = ShardServer().start()
@@ -358,7 +358,7 @@ class TestTcpPipelining:
                     )
                     for o in serial.outcomes
                 ]
-                assert tcp.scheduler == "pipeline"
+                assert tcp.chunks >= 1
 
                 stream = sweep_choreography_streaming(
                     choreography, witnesses=WITNESS_ALL, workers=2,
@@ -375,10 +375,7 @@ class TestTcpPipelining:
 
 
 class TestSchedulerCounters:
-    def test_stats_and_describe_carry_scheduler_counters(
-        self, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_SWEEP_PIPELINE", "1")
+    def test_stats_and_describe_carry_scheduler_counters(self):
         pairs = _random_pairs(6, seed=55)
         with EvolutionRuntime() as rt:
             _, stats = _sweep_pairs_stats(pairs, WITNESS_NONE, 2, rt)
@@ -390,7 +387,7 @@ class TestSchedulerCounters:
             hist = runtime_stats["chunk_size_hist"]
             assert sum(hist.values()) >= stats["chunks"]
             assert runtime_stats["chunk_pairs_total"] >= len(pairs)
-            assert "scheduler (pipeline)" in rt.describe()
+            assert "scheduler: " in rt.describe()
 
     def test_metrics_exposition_includes_scheduler_series(self):
         from repro.service.metrics import ServiceMetrics, render_metrics

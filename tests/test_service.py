@@ -1032,7 +1032,7 @@ class TestStreamingLifecycle:
             service = await make_service()
             try:
                 with mock.patch(
-                    "repro.service.app.check_pair",
+                    "repro.core.sweep.check_kernel_pair",
                     side_effect=RuntimeError("engine down"),
                 ):
                     payload = await self._stream(service)
