@@ -93,6 +93,7 @@ class Kernel:
         "_label_masks",
         "_ann_profile",
         "_digest",
+        "__weakref__",
     )
 
     def __init__(
@@ -426,6 +427,51 @@ def k_trim(kernel: Kernel) -> Kernel:
     return trimmed
 
 
+def k_prune(kernel: Kernel, strip_annotations: bool = False) -> Kernel:
+    """Restrict *kernel* to its useful states: reachable from start
+    and co-reachable to a final state (the start is always kept).
+
+    The kernel twin of :func:`repro.afsa.prune.prune_dead_states`
+    (language-preserving); with *strip_annotations* it also drops every
+    annotation, fusing :func:`repro.afsa.annotations.strip_annotations`
+    into the same pass.  Transitions into removed states are dropped,
+    and labels left without targets disappear from the row; the
+    alphabet is kept.
+    """
+    keep = kernel.reachable() & kernel.coreachable() | {kernel.start}
+    if len(keep) == kernel.n and not (strip_annotations and kernel.ann):
+        return kernel
+    order = sorted(keep)
+    remap = {old: new for new, old in enumerate(order)}
+    adj = []
+    for old in order:
+        row = {}
+        for lid, targets in kernel.adj[old].items():
+            kept = tuple(remap[t] for t in targets if t in remap)
+            if kept:
+                row[lid] = kept
+        adj.append(row)
+    return Kernel(
+        n=len(order),
+        start=remap[kernel.start],
+        names=[kernel.names[old] for old in order],
+        finals=frozenset(
+            remap[state] for state in kernel.finals if state in remap
+        ),
+        ann={} if strip_annotations else {
+            remap[state]: formula
+            for state, formula in kernel.ann.items()
+            if state in remap
+        },
+        adj=adj,
+        eps=[
+            tuple(remap[t] for t in kernel.eps[old] if t in remap)
+            for old in order
+        ],
+        alphabet_ids=kernel.alphabet_ids,
+    )
+
+
 def k_remove_epsilon(kernel: Kernel) -> Kernel:
     """ε-free equivalent with the original state identities (trimmed).
 
@@ -723,6 +769,44 @@ def k_intersect(left: Kernel, right: Kernel) -> Kernel:
         alphabet_ids=a.alphabet_ids & b.alphabet_ids,
     )
     return result
+
+
+def k_union(left: Kernel, right: Kernel) -> Kernel:
+    """Direct union: a fresh start ``("∪", "start")`` with ε-moves into
+    both operands, whose states are tagged ``(0, s)`` / ``(1, s)`` to
+    keep them disjoint; annotations are carried per branch.  Not
+    ε-eliminated — :func:`k_remove_epsilon` gives the fresh start the
+    conjunction of both start annotations."""
+    shift_b = 1 + left.n
+
+    def shifted(rows, offset):
+        return [
+            {lid: tuple(t + offset for t in targets)
+             for lid, targets in row.items()}
+            for row in rows
+        ]
+
+    ann = {state + 1: formula for state, formula in left.ann.items()}
+    ann.update(
+        (state + shift_b, formula) for state, formula in right.ann.items()
+    )
+    return Kernel(
+        n=shift_b + right.n,
+        start=0,
+        names=[("∪", "start")]
+        + [(0, name) for name in left.names]
+        + [(1, name) for name in right.names],
+        finals=frozenset(
+            [state + 1 for state in left.finals]
+            + [state + shift_b for state in right.finals]
+        ),
+        ann=ann,
+        adj=[{}] + shifted(left.adj, 1) + shifted(right.adj, shift_b),
+        eps=[(left.start + 1, right.start + shift_b)]
+        + [tuple(t + 1 for t in row) for row in left.eps]
+        + [tuple(t + shift_b for t in row) for row in right.eps],
+        alphabet_ids=left.alphabet_ids | right.alphabet_ids,
+    )
 
 
 def k_difference(left: Kernel, right: Kernel) -> Kernel:
@@ -1315,6 +1399,73 @@ def k_language_included(left: Kernel, right: Kernel) -> bool:
             target = (target_a, bucket_b[0])
             if target not in seen:
                 if target[0] in a_finals and target[1] not in b_finals:
+                    return False
+                seen.add(target)
+                frontier.append(target)
+    return True
+
+
+def k_language_equal_within(
+    left: Kernel, right: Kernel, context: Kernel
+) -> bool:
+    """``L(left) ∩ L(context) = L(right) ∩ L(context)`` in one walk.
+
+    Equivalently ``(L(left) \\ L(right)) ∩ L(context) = ∅`` and
+    ``(L(right) \\ L(left)) ∩ L(context) = ∅`` — the Sect. 4.2
+    protocol-equivalence test — without building either difference or
+    either product.  The walk runs over ``det(left) × det(right) ×
+    det(context)``, follows only the context's transitions, and stops
+    at the first word of ``L(context)`` that exactly one of *left* and
+    *right* accepts.  Completion is implicit, as in
+    :func:`k_language_included`: a missing transition, or one into a
+    state that can no longer accept, sends that side to a sink
+    (``-1``), and a triple whose two sides are both sunk is never
+    expanded — no continuation can tell them apart any more.
+    """
+    a = k_determinize(left)
+    b = k_determinize(right)
+    c = k_determinize(context)
+    a_adj, b_adj, c_adj = a.adj, b.adj, c.adj
+    a_finals, b_finals, c_finals = a.finals, b.finals, c.finals
+    a_live, b_live = a.coreachable(), b.coreachable()
+    c_live = c.coreachable()
+
+    def step(adj, live, state, lid):
+        if state < 0:
+            return -1
+        targets = adj[state].get(lid)
+        if targets is None or targets[0] not in live:
+            return -1
+        return targets[0]
+
+    start = (
+        a.start if a.start in a_live else -1,
+        b.start if b.start in b_live else -1,
+        c.start,
+    )
+    if c.start not in c_live or start[0] == start[1] == -1:
+        return True
+    if c.start in c_finals and (
+        (start[0] in a_finals) != (start[1] in b_finals)
+    ):
+        return False
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        state_a, state_b, state_c = frontier.pop()
+        for lid, targets_c in c_adj[state_c].items():
+            target_c = targets_c[0]
+            if target_c not in c_live:
+                continue
+            target_a = step(a_adj, a_live, state_a, lid)
+            target_b = step(b_adj, b_live, state_b, lid)
+            if target_a == target_b == -1:
+                continue
+            target = (target_a, target_b, target_c)
+            if target not in seen:
+                if target_c in c_finals and (
+                    (target_a in a_finals) != (target_b in b_finals)
+                ):
                     return False
                 seen.add(target)
                 frontier.append(target)

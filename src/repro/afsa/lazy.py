@@ -76,16 +76,20 @@ witnesses) across calls, keyed on operand *kernel identity*: sweep
 grids, propagation step 5, engine auto-adapt re-checks and migration
 residual checks repeatedly test the same operand pair, and a kernel is
 one immutable compiled artifact, so identity is a sound key.
-Invalidation therefore rides on compile eviction exactly like the
-``project_view`` memo: replacing a private process compiles a new
-public aFSA, which carries a *new* kernel — old entries become
-unreachable and age out of the bounded LRU.  Entries hold strong
-references to their kernels, so an ``id()`` can never be recycled
-while its entry is alive.
+Entries hold their operands *weakly* and die with either of them:
+replacing a private process compiles a new public aFSA, which carries a
+*new* kernel, and once nothing owns the old kernel (or a transient
+propagation proposal, or an auto-adapt view) its entries go with it.
+The cache therefore never pins a kernel, and its occupancy follows what
+the caller keeps resident rather than how many versions it has seen.
+A dead operand's entry is dropped before the cache's next operation,
+and a hit must match the operand objects, so a recycled ``id()`` never
+meets a stale entry.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import OrderedDict
 
 from repro.afsa.kernel import (
@@ -1069,46 +1073,108 @@ def product_verdict(left: Kernel, right: Kernel, annotated: bool = True) -> bool
     return _lazy_annotated_verdict(a, b)
 
 
+class _OperandRef(weakref.ref):
+    """A weak reference to one operand kernel of a cache entry that
+    remembers the entry's key, so the death callback can name it."""
+
+    __slots__ = ("key",)
+
+    def __new__(cls, kernel: Kernel, callback, key: tuple):
+        self = super().__new__(cls, kernel, callback)
+        self.key = key
+        return self
+
+    def __init__(self, kernel: Kernel, callback, key: tuple):
+        super().__init__(kernel, callback)
+
+
 class _CacheEntry:
-    """One cached pair verdict (operand kernels kept alive on purpose —
-    see the module docstring's invalidation contract)."""
+    """One cached pair verdict; the operand kernels are held weakly
+    (see the module docstring's invalidation contract)."""
 
-    __slots__ = ("left", "right", "consistent", "witness")
+    __slots__ = ("_left", "_right", "consistent", "witness")
 
-    def __init__(self, left: Kernel, right: Kernel, consistent: bool):
-        self.left = left
-        self.right = right
+    def __init__(self, left_ref, right_ref, consistent: bool):
+        self._left = left_ref
+        self._right = right_ref
         self.consistent = consistent
         self.witness = None
+
+    @property
+    def left(self) -> Kernel | None:
+        """The left operand, or None once it died."""
+        return self._left()
+
+    @property
+    def right(self) -> Kernel | None:
+        """The right operand, or None once it died."""
+        return self._right()
 
 
 class PairVerdictCache:
     """Bounded LRU of product-emptiness verdicts keyed on kernel
     identity pairs.
 
+    An entry lives while both its operand kernels do: each operand's
+    weak reference queues the entry's key when the kernel dies, and
+    the next lookup, store or invalidation drops the queued entries.
+    The callback only appends to a list, so it is safe wherever the
+    garbage collector happens to run it.  Only the engine-side
+    operations mutate the cache; the occupancy readers (``len``,
+    :meth:`info`) count live entries from a snapshot without
+    mutating, so an observability surface may call them from another
+    thread.
+
     ``hits`` / ``misses`` are running counters; the sweep engine
     reports their deltas per run (:meth:`SweepReport.describe`).
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_entries")
+    __slots__ = ("maxsize", "hits", "misses", "_entries", "_dead")
 
     def __init__(self, maxsize: int = 1024):
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict = OrderedDict()
+        self._dead: list = []
+
+    def _purge(self) -> None:
+        """Drop the entries whose operand died since the last call."""
+        dead = self._dead
+        entries = self._entries
+        while dead:
+            key = dead.pop().key
+            entry = entries.get(key)
+            if entry is not None and (
+                entry.left is None or entry.right is None
+            ):
+                entries.pop(key, None)
+
+    def _get(self, left: Kernel, right: Kernel, annotated: bool):
+        """The live entry for this operand pair, or None (uncounted)."""
+        self._purge()
+        key = (id(left), id(right), annotated)
+        entry = self._entries.get(key)
+        if entry is None or entry.left is not left or (
+            entry.right is not right
+        ):
+            return None
+        return entry
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(
+            1
+            for entry in list(self._entries.values())
+            if entry.left is not None and entry.right is not None
+        )
 
     def lookup(self, left: Kernel, right: Kernel, annotated: bool = True):
         """Return the cached :class:`_CacheEntry` or None (counted)."""
-        key = (id(left), id(right), annotated)
-        entry = self._entries.get(key)
+        entry = self._get(left, right, annotated)
         if entry is None:
             self.misses += 1
             return None
-        self._entries.move_to_end(key)
+        self._entries.move_to_end((id(left), id(right), annotated))
         self.hits += 1
         return entry
 
@@ -1121,9 +1187,14 @@ class PairVerdictCache:
     ) -> _CacheEntry:
         """Record a verdict (evicting the LRU entry when full)."""
         key = (id(left), id(right), annotated)
-        entry = self._entries.get(key)
+        entry = self._get(left, right, annotated)
         if entry is None:
-            entry = _CacheEntry(left, right, consistent)
+            dead = self._dead.append
+            entry = _CacheEntry(
+                _OperandRef(left, dead, key),
+                _OperandRef(right, dead, key),
+                consistent,
+            )
             self._entries[key] = entry
             if len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -1142,7 +1213,7 @@ class PairVerdictCache:
         reaching into ``_entries``.
         """
         return {
-            "size": len(self._entries),
+            "size": len(self),
             "maxsize": self.maxsize,
             "hits": self.hits,
             "misses": self.misses,
@@ -1151,22 +1222,23 @@ class PairVerdictCache:
     def invalidate_kernels(self, kernels) -> None:
         """Drop every entry whose either operand is one of *kernels*.
 
-        The LRU normally ages entries out by reachability (compile
-        eviction drops the kernel, the entry's pin keeps the ``id()``
-        stable until the entry itself rotates out).  Policy-driven
-        eviction — the service front-end unregistering a tenant's
-        choreography — wants the entries *gone now*, so the shared
+        Entries normally leave with their operands (weak references,
+        see the class docstring).  Policy-driven eviction — the
+        service front-end unregistering a tenant's choreography —
+        wants them *gone now*, even while a retained exploration or
+        the lineage registry still keeps a kernel alive, so the shared
         cache's capacity serves the tenants that remain.
         """
         doomed = {id(kernel) for kernel in kernels}
         if not doomed:
             return
+        self._purge()
         for key in [
             key
-            for key in self._entries
+            for key in list(self._entries)
             if key[0] in doomed or key[1] in doomed
         ]:
-            del self._entries[key]
+            self._entries.pop(key, None)
 
     def invalidate_digests(self, digests) -> None:
         """Drop every entry whose either operand carries one of the
@@ -1188,16 +1260,18 @@ class PairVerdictCache:
         doomed = set(digests)
         if not doomed:
             return
-        for key, entry in [
-            (key, entry)
-            for key, entry in self._entries.items()
-            if (entry.left._digest in doomed)
-            or (entry.right._digest in doomed)
-        ]:
-            del self._entries[key]
+        self._purge()
+        for key, entry in list(self._entries.items()):
+            left, right = entry.left, entry.right
+            if (left is not None and left._digest in doomed) or (
+                right is not None and right._digest in doomed
+            ):
+                self._entries.pop(key, None)
 
     def clear(self) -> None:
+        """Drop every entry (counters are kept)."""
         self._entries.clear()
+        self._dead.clear()
 
 
 #: The process-wide verdict cache every consistency-check consumer
@@ -1224,7 +1298,7 @@ def pair_verdict(left: Kernel, right: Kernel, annotated: bool = True) -> bool:
 def cached_witness(left: Kernel, right: Kernel):
     """The witness previously stored for this pair, if any (does not
     touch the hit/miss counters — witnesses ride on verdict entries)."""
-    entry = VERDICTS._entries.get((id(left), id(right), True))
+    entry = VERDICTS._get(left, right, True)
     if entry is None:
         return None
     return entry.witness

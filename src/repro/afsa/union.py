@@ -16,9 +16,14 @@ test suite checks them against each other on random automata.
 
 from __future__ import annotations
 
-from repro.afsa.automaton import AFSA, AFSABuilder
+from repro.afsa.automaton import AFSA
 from repro.afsa.complement import complement
-from repro.afsa.epsilon import remove_epsilon
+from repro.afsa.kernel import (
+    k_remove_epsilon,
+    k_union,
+    kernel_of,
+    materialize,
+)
 from repro.afsa.product import intersect
 
 
@@ -26,38 +31,22 @@ def union(left: AFSA, right: AFSA, name: str = "") -> AFSA:
     """Return the direct (annotation-preserving) union of two aFSAs.
 
     States of the operands are tagged with ``0``/``1`` to keep them
-    disjoint; a fresh start state reaches both via ε, and the result is
-    ε-eliminated.  Annotations are carried over per branch (the fresh
-    start inherits the conjunction of both start annotations through
-    ε-elimination — a requirement both alternatives impose is imposed by
-    the union as well).
+    disjoint; a fresh start state ``("∪", "start")`` reaches both via ε,
+    and the result is ε-eliminated — built on the kernel
+    (:func:`~repro.afsa.kernel.k_union`) and materialized once.
+    Annotations are carried over per branch (the fresh start inherits
+    the conjunction of both start annotations through ε-elimination — a
+    requirement both alternatives impose is imposed by the union as
+    well).
     """
     if not name:
         left_name = left.name or "A"
         right_name = right.name or "B"
         name = f"({left_name} ∪ {right_name})"
-
-    builder = AFSABuilder(name=name)
-    fresh_start = ("∪", "start")
-    builder.set_start(fresh_start)
-
-    for tag, operand in ((0, left), (1, right)):
-        for transition in operand.transitions:
-            builder.add_transition(
-                (tag, transition.source),
-                transition.label,
-                (tag, transition.target),
-            )
-        for state in operand.states:
-            builder.add_state((tag, state))
-        for state in operand.finals:
-            builder.mark_final((tag, state))
-        for state, formula in operand.annotations.items():
-            builder.annotate((tag, state), formula)
-        builder.add_epsilon(fresh_start, (tag, operand.start))
-        builder.extend_alphabet(operand.alphabet)
-
-    return remove_epsilon(builder.build())
+    return materialize(
+        k_remove_epsilon(k_union(kernel_of(left), kernel_of(right))),
+        name=name,
+    )
 
 
 def union_de_morgan(left: AFSA, right: AFSA, name: str = "") -> AFSA:

@@ -18,7 +18,6 @@ from repro.afsa.automaton import AFSA
 from repro.afsa.emptiness import EmptinessWitness, is_consistent
 from repro.afsa.kernel import kernel_of
 from repro.afsa.lazy import note_lineage
-from repro.afsa.product import intersect
 from repro.afsa.view import project_view
 from repro.core.sweep import WITNESS_ALL, sweep_choreography
 from repro.bpel.compile import CompiledProcess, compile_process
@@ -294,12 +293,6 @@ class Choreography:
         )
 
     # -- consistency ---------------------------------------------------------
-
-    def bilateral_intersection(self, left: str, right: str) -> AFSA:
-        """Return the intersection of the mutual views of two parties."""
-        view_of_right = self.view(right, on=left)
-        view_of_left = self.view(left, on=right)
-        return intersect(view_of_right, view_of_left)
 
     def bilateral_consistent(self, left: str, right: str) -> bool:
         """Bilateral consistency (deadlock freedom) of two parties.

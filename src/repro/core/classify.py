@@ -14,16 +14,25 @@ Sect. 4.2: the strict protocol-equivalence test
 ``(A \\ A') ∩ B = ∅ ∧ (A' \\ A) ∩ B = ∅`` is exposed as
 :meth:`ChangeClassification.protocol_equivalent` — the paper points out
 it is "too restrictive", and Def. 6 is the criterion actually used.
+
+All three questions are emptiness questions, so none of them builds an
+automaton.  Def. 5 is unannotated language inclusion — two
+short-circuiting :func:`~repro.afsa.kernel.k_language_included` walks
+over the operands' memoized DFAs.  Def. 6 is the cached lazy pair
+verdict (:func:`~repro.afsa.lazy.pair_verdict`), the same verdict a
+consistency check of that pair returns.  Protocol equivalence is one
+on-the-fly walk (:func:`~repro.afsa.kernel.k_language_equal_within`).
+Only propagation (:mod:`repro.core.propagate`) materializes automata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.difference import difference
-from repro.afsa.emptiness import is_empty
-from repro.afsa.product import intersect
+from repro.afsa.emptiness import is_consistent
+from repro.afsa.equivalence import language_included
+from repro.afsa.kernel import k_language_equal_within, kernel_of
 from repro.afsa.view import project_view
 
 #: Change-framework verdicts (Def. 5).
@@ -44,20 +53,19 @@ class ChangeClassification:
     Attributes:
         additive: ``A' \\ A ≠ ∅`` (new message sequences appeared).
         subtractive: ``A \\ A' ≠ ∅`` (message sequences disappeared).
-        added: the difference automaton ``A' \\ A``.
-        removed: the difference automaton ``A \\ A'``.
+        old_public: A, as classified (the bilateral view when a
+            partner was supplied).
+        new_public: A', as classified.
         variant: ``A' ∩ B = ∅`` — only set when a partner was supplied.
         partner: name of the partner the variant verdict refers to.
-        intersection: the checked ``A' ∩ B`` (diagnosis material).
     """
 
     additive: bool
     subtractive: bool
-    added: AFSA
-    removed: AFSA
+    old_public: AFSA = field(repr=False, compare=False)
+    new_public: AFSA = field(repr=False, compare=False)
     variant: bool | None = None
     partner: str = ""
-    intersection: AFSA | None = None
 
     @property
     def framework(self) -> str:
@@ -85,15 +93,17 @@ class ChangeClassification:
     def protocol_equivalent(self, partner_public: AFSA) -> bool:
         """The strict Sect. 4.2 criterion: ``A ∩ B ≡ A' ∩ B``.
 
-        Checked via ``(A \\ A') ∩ B = ∅ ∧ (A' \\ A) ∩ B = ∅`` exactly as
-        the paper formalizes it.  Stricter than invariance: it also
-        fails for changes that merely alter options fully under the
-        change originator's control.
+        The paper formalizes it as ``(A \\ A') ∩ B = ∅ ∧ (A' \\ A) ∩ B
+        = ∅`` (unannotated); one walk over ``det(A) × det(A') × B``
+        answers both conjuncts, stopping at the first word of ``L(B)``
+        that exactly one of A and A' accepts.  Stricter than
+        invariance: it also fails for changes that merely alter
+        options fully under the change originator's control.
         """
-        removed_shared = intersect(self.removed, partner_public)
-        added_shared = intersect(self.added, partner_public)
-        return is_empty(removed_shared, annotated=False) and is_empty(
-            added_shared, annotated=False
+        return k_language_equal_within(
+            kernel_of(self.old_public),
+            kernel_of(self.new_public),
+            kernel_of(partner_public),
         )
 
     def describe(self) -> str:
@@ -109,17 +119,15 @@ class ChangeClassification:
 def classify_change(old_public: AFSA, new_public: AFSA) -> ChangeClassification:
     """Classify δ along the change-framework dimension only (Def. 5).
 
-    The emptiness checks on the differences are *unannotated*: Def. 5
-    is about which message sequences exist, not about their mandatory
-    status.
+    Both verdicts are *unannotated* inclusion tests — Def. 5 is about
+    which message sequences exist, not about their mandatory status:
+    ``A' \\ A ≠ ∅`` iff ``L(A') ⊄ L(A)``.
     """
-    added = difference(new_public, old_public, name="A' \\ A")
-    removed = difference(old_public, new_public, name="A \\ A'")
     return ChangeClassification(
-        additive=not is_empty(added, annotated=False),
-        subtractive=not is_empty(removed, annotated=False),
-        added=added,
-        removed=removed,
+        additive=not language_included(new_public, old_public),
+        subtractive=not language_included(old_public, new_public),
+        old_public=old_public,
+        new_public=new_public,
     )
 
 
@@ -138,8 +146,10 @@ def classify_against_partner(
     "the processes to be compared are representing the bilateral
     message exchanges only".
 
-    The intersection emptiness test is the *annotated* one: mandatory
-    messages decide variance (this is what makes Fig. 12b empty).
+    Variance is the *annotated* consistency verdict — mandatory
+    messages decide it (this is what makes Fig. 12b empty) — taken from
+    the lazy pair engine and its verdict cache, so it is the verdict a
+    consistency check of ``(τ_partner(A'), B)`` returns.
     """
     if partner:
         old_view = project_view(old_public, partner)
@@ -149,8 +159,6 @@ def classify_against_partner(
         new_view = new_public
 
     classification = classify_change(old_view, new_view)
-    intersection = intersect(new_view, partner_public)
-    classification.variant = is_empty(intersection)
+    classification.variant = not is_consistent(new_view, partner_public)
     classification.partner = partner
-    classification.intersection = intersection
     return classification

@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.emptiness import is_empty
-from repro.afsa.product import intersect
+from repro.afsa.emptiness import is_consistent
 from repro.bpel.compile import CompiledProcess, compile_process
 from repro.bpel.model import ProcessModel
 from repro.core.changes import ChangeOperation
@@ -160,13 +159,16 @@ class ProcessHistory:
             partner_view: the partner's (bilateral) public process.
             partner: the partner's party identifier — each version's
                 public process is projected onto that conversation
-                before intersecting (Sect. 3.4).
+                before the check (Sect. 3.4).
+
+        Each check is the lazy (cached) consistency verdict; no
+        product automaton is built.
         """
         from repro.afsa.view import project_view
 
         for version in reversed(self._versions):
             bilateral = project_view(version.public, partner)
-            if not is_empty(intersect(bilateral, partner_view)):
+            if is_consistent(bilateral, partner_view):
                 return version.number
         return None
 

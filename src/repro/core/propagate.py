@@ -24,6 +24,12 @@ Both variant scenarios follow the paper's 5-step recipe:
 3–5. as above (the region is found where *B* offers a transition that
    ``B'`` no longer supports, Sect. 5.3 "ad 3").
 
+Steps 1–2 are the one place in the Fig. 4 loop whose *output* is an
+automaton, so they are the only place that constructs differences and
+unions; each chain (difference → strip + prune → minimize, and union →
+minimize) runs on the kernel (:mod:`repro.afsa.kernel`) and is
+materialized once.
+
 Changed-state detection (step 3) is the "parallel traversal …
 comparable to bi-simulation" the paper sketches:
 :func:`transition_deltas` walks ``B`` and ``B'`` in lockstep over common
@@ -35,16 +41,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.afsa.annotations import (
-    strip_annotations,
-    weaken_unsupported_annotations,
-)
+from repro.afsa.annotations import weaken_unsupported_annotations
 from repro.afsa.automaton import AFSA, State
-from repro.afsa.difference import difference
 from repro.afsa.emptiness import is_consistent
+from repro.afsa.kernel import (
+    k_difference,
+    k_minimize,
+    k_prune,
+    k_union,
+    kernel_of,
+    materialize,
+)
 from repro.afsa.minimize import minimize
-from repro.afsa.prune import prune_dead_states
-from repro.afsa.union import union
 from repro.afsa.view import project_view, project_view_raw
 from repro.bpel.compile import CompiledProcess
 from repro.bpel.mapping import MappingTable, state_correspondence
@@ -212,6 +220,22 @@ def _originator_party(view: AFSA, opponent_party: str) -> str:
     return ""
 
 
+def _diagnostic(left: AFSA, right: AFSA, name: str) -> AFSA:
+    """Step 1's ``A''``: ``left \\ right`` with annotations stripped,
+    dead states pruned, minimized — fused on the kernel (difference →
+    strip + prune → minimize) and materialized once.
+    """
+    return materialize(
+        k_minimize(
+            k_prune(
+                k_difference(kernel_of(left), kernel_of(right)),
+                strip_annotations=True,
+            )
+        ),
+        name=name,
+    )
+
+
 def propagate_additive(
     originator_new_public: AFSA,
     opponent: CompiledProcess,
@@ -239,15 +263,12 @@ def propagate_additive(
     # requirements imposed *on* the opponent, not declared by it; the
     # diagnostic drops them, and the sink branches that completion
     # introduced are pruned (see repro.afsa.annotations / .prune).
-    added = minimize(
-        prune_dead_states(
-            strip_annotations(difference(view, current_public))
-        )
-    ).with_name("A'' (added sequences)")
+    added = _diagnostic(view, current_public, "A'' (added sequences)")
 
     # Step 2: the proposal B' = A'' ∪ B.
-    proposal = minimize(union(added, current_public)).with_name(
-        f"{current_public.name}'"
+    proposal = materialize(
+        k_minimize(k_union(kernel_of(added), kernel_of(current_public))),
+        name=f"{current_public.name}'",
     )
 
     # Step 3 precursor: where does B' differ from B?
@@ -291,17 +312,24 @@ def propagate_subtractive(
     current_public, mapping = _bilateral_base(opponent, originator_party)
 
     # Step 1: the removed sequences (B \ τ_P(A'); DESIGN.md deviation #2).
-    removed = minimize(
-        prune_dead_states(
-            strip_annotations(difference(current_public, view))
-        )
-    ).with_name("A'' (removed sequences)")
+    removed = _diagnostic(
+        current_public, view, "A'' (removed sequences)"
+    )
 
     # Step 2: B' = B \ A''.  B's own annotations survive, but conjuncts
     # whose transitions were subtracted away are weakened (Fig. 17b).
     proposal = weaken_unsupported_annotations(
-        minimize(prune_dead_states(difference(current_public, removed)))
-    ).with_name(f"{current_public.name}'")
+        materialize(
+            k_minimize(
+                k_prune(
+                    k_difference(
+                        kernel_of(current_public), kernel_of(removed)
+                    )
+                )
+            ),
+            name=f"{current_public.name}'",
+        )
+    )
 
     deltas = [
         delta

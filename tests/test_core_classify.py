@@ -53,15 +53,18 @@ class TestChangeFramework:
         assert not classification.additive
         assert not classification.subtractive
 
-    def test_difference_automata_exposed(
+    def test_added_sequences_diagnosed_by_difference(
         self, accounting_compiled, accounting_variant_compiled
     ):
-        classification = classify_change(
-            accounting_compiled.afsa, accounting_variant_compiled.afsa
-        )
+        """Classification no longer carries ``A' \\ A``; the Def. 4
+        difference still diagnoses which sequences the change added."""
+        from repro.afsa.difference import difference
         from repro.afsa.language import accepted_words
 
-        added_words = accepted_words(classification.added, 3)
+        added = difference(
+            accounting_variant_compiled.afsa, accounting_compiled.afsa
+        )
+        added_words = accepted_words(added, 3)
         assert any(
             "A#B#cancelOp" in word for word in map(set, added_words)
         )
@@ -115,19 +118,36 @@ class TestPropagationDimension:
         assert classification.propagation == VARIANT
         assert classification.framework == SUBTRACTIVE
 
-    def test_intersection_exposed_for_diagnosis(
+    def test_variant_diagnosis_names_unsupported_message(
         self,
         accounting_compiled,
         accounting_variant_compiled,
         buyer_compiled,
     ):
+        """Classification no longer carries ``A' ∩ B``; the lazy pair
+        witness of the classified pair names the mandatory message the
+        buyer does not support."""
+        from repro.afsa.kernel import kernel_of
+        from repro.afsa.witness import lazy_pair_witness
+
         classification = classify_against_partner(
             accounting_compiled.afsa,
             accounting_variant_compiled.afsa,
             buyer_compiled.afsa,
             partner=BUYER,
         )
-        assert classification.intersection is not None
+        assert classification.variant
+        witness = lazy_pair_witness(
+            kernel_of(classification.new_public),
+            kernel_of(buyer_compiled.afsa),
+        )
+        assert witness.empty
+        missing = {
+            name
+            for names in witness.missing_variables.values()
+            for name in names
+        }
+        assert "A#B#cancelOp" in missing
 
     def test_unchecked_propagation_is_none(self, accounting_compiled):
         classification = classify_change(

@@ -1,35 +1,97 @@
-"""Source lint mirrored by CI: the eager product build stays confined.
+"""Import lint mirrored by CI: eager products and differences stay at
+their construction sites.
 
-With the streaming witness extractor in place, no production module
-outside :mod:`repro.afsa` may materialize an eager product — the only
-sanctioned users of ``k_intersect`` are the ``afsa`` package itself
-(its definition in :mod:`repro.afsa.kernel`, the legacy
-:mod:`repro.afsa.product` shim, and the documented test-only
-:mod:`repro.afsa.oracle`) and the test suite.  CI enforces the same
-invariant with a grep so a failure is visible even when pytest is
-skipped; this test pins it for local runs and names the offender.
+Classification and consistency paths (Defs. 5/6, version lookup,
+bilateral checks) answer emptiness questions lazily; only propagation
+(``core/propagate.py``) and the Fig. 5 reproduction
+(``scenario/figures.py``) may import ``intersect``, ``difference``,
+``k_intersect`` or ``k_difference`` outside :mod:`repro.afsa`.
+``tools/check_imports.py`` enforces this on the import graph — aliases,
+relative imports, package re-exports and module attributes included —
+and CI runs the same tool; this test runs it for local runs and names
+the offender.
 """
 
-import re
+from __future__ import annotations
+
+import sys
 from pathlib import Path
 
-_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-_PATTERN = re.compile(r"\bk_intersect\b")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+
+from check_imports import ALLOWED, check  # noqa: E402
 
 
-def test_k_intersect_is_confined_to_the_afsa_package():
-    offenders = []
-    for path in sorted(_SRC.rglob("*.py")):
-        relative = path.relative_to(_SRC)
-        if relative.parts[0] == "afsa":
-            continue
-        for lineno, line in enumerate(
-            path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            if _PATTERN.search(line):
-                offenders.append(f"repro/{relative}:{lineno}: {line.strip()}")
-    assert not offenders, (
-        "eager product build leaked outside repro.afsa "
-        "(use repro.afsa.witness / repro.afsa.lazy instead):\n"
-        + "\n".join(offenders)
+def test_eager_constructions_stay_at_their_sites():
+    failures = check(ROOT / "src" / "repro")
+    assert not failures, (
+        "eager product/difference imported outside its construction "
+        "sites:\n" + "\n".join(failures)
     )
+
+
+def test_every_allowlisted_site_states_its_reason():
+    assert set(ALLOWED) == {
+        "core/propagate.py",
+        "scenario/figures.py",
+        "__init__.py",
+    }
+    assert all(
+        names and reason.strip() for names, reason in ALLOWED.values()
+    )
+
+
+def _tree(root: Path, files: dict) -> Path:
+    for relative, text in files.items():
+        path = root / "repro" / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    return root / "repro"
+
+
+def test_lint_follows_aliases_reexports_and_attributes(tmp_path):
+    """Every way of reaching a forbidden constructor is caught, and a
+    lazy import is not."""
+    src = _tree(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "afsa/__init__.py": (
+                "from repro.afsa.product import intersect\n"
+                "from repro.afsa.lazy import pair_verdict\n"
+            ),
+            "afsa/product.py": "def intersect(a, b): pass\n",
+            "afsa/lazy.py": "def pair_verdict(a, b): pass\n",
+            "afsa/kernel.py": "def k_difference(a, b): pass\n",
+            "core/__init__.py": "",
+            "core/direct.py": (
+                "from repro.afsa.kernel import k_difference as kd\n"
+            ),
+            "core/reexport.py": "from repro.afsa import intersect\n",
+            "core/relative.py": "from ..afsa.product import intersect\n",
+            "core/attribute.py": (
+                "import repro.afsa.product\n"
+                "from repro.afsa import kernel\n"
+                "def f(a, b):\n"
+                "    kernel.k_difference(a, b)\n"
+                "    return repro.afsa.product.intersect(a, b)\n"
+            ),
+            "core/lazy_only.py": "from repro.afsa import pair_verdict\n",
+        },
+    )
+    failures = "\n".join(check(src))
+    for site, name in (
+        ("direct.py:1", "kernel.k_difference"),
+        ("reexport.py:1", "product.intersect"),
+        ("relative.py:1", "product.intersect"),
+        ("attribute.py:4", "kernel.k_difference"),
+        ("attribute.py:5", "product.intersect"),
+    ):
+        assert f"repro/core/{site}: imports repro.afsa.{name}" in failures
+    assert "lazy_only" not in failures
+    # The allowlist is exact: sites that construct nothing are stale.
+    assert (
+        "repro/core/propagate.py: allowlisted "
+        "repro.afsa.kernel.k_difference is not imported any more"
+    ) in failures

@@ -12,15 +12,24 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 from unittest import mock
 
 import pytest
 
 from repro.afsa.lazy import VERDICTS
+from repro.bpel.dsl import process_to_dsl
+from repro.errors import ChangeError
 from repro.service.app import ChoreoService, ROUTES
 from repro.service.coalesce import Coalescer
 from repro.service.http import HttpError, Request
 from repro.service.tenants import ServiceError
+from repro.workload.generator import generate_partner_pair
+from repro.workload.mutations import (
+    inject_invariant_additive,
+    inject_variant_additive,
+    inject_variant_subtractive,
+)
 
 BUYER = """
 process shop party=S
@@ -633,6 +642,96 @@ class TestEviction:
                 service.close()
 
         run(main())
+
+    def test_evolve_loop_keeps_verdict_cache_bounded(self):
+        """Evolve lifecycles at a fixed residency leave no orphaned
+        verdict entries.  Propagation proposals, auto-adapt views and
+        superseded versions are owned by no resident session, so the
+        eviction cascade never names them: their entries must die with
+        the kernels.  Once the bounded memos that may still hold such
+        kernels (compile memo, warm-start registries) let go, the cache
+        holds what the resident sessions own — however many lifecycles
+        ran."""
+        import gc
+
+        from repro.afsa.lazy import clear_warm_state
+        from repro.bpel import compile as compile_module
+
+        resident = 2
+        changes = (
+            inject_invariant_additive,
+            inject_variant_additive,
+            inject_variant_subtractive,
+        )
+
+        def lifecycle(index):
+            rng = random.Random(index)
+            pair = generate_partner_pair(
+                seed=rng.randrange(1 << 30), steps=6, with_loop=True
+            )
+            texts = {model.party: process_to_dsl(model) for model in pair}
+            for offset in range(len(changes)):
+                inject = changes[(index + offset) % len(changes)]
+                for model in pair:
+                    try:
+                        change, _ = inject(model, seed=index)
+                    except ChangeError:
+                        continue
+                    new = process_to_dsl(change.apply(model))
+                    return texts, model.party, new
+            raise AssertionError(f"no change applies to lifecycle {index}")
+
+        async def main():
+            service = ChoreoService(max_resident=resident)
+            occupancy = []
+            try:
+                await service.dispatch(
+                    request("POST", "/tenants", {"tenant": "acme"})
+                )
+                for index in range(30):
+                    texts, party, new = lifecycle(index)
+                    name = f"c{index}"
+                    check = check_body(
+                        choreography=name, left="I", right="R"
+                    )
+                    status, _ = await service.dispatch(request(
+                        "POST", "/choreographies", {
+                            "tenant": "acme", "name": name,
+                            "processes": [texts["I"], texts["R"]],
+                        },
+                    ))
+                    assert status == 200
+                    status, _ = await service.dispatch(
+                        request("POST", "/check", check)
+                    )
+                    assert status == 200
+                    status, _ = await service.dispatch(request(
+                        "POST", "/evolve", {
+                            "tenant": "acme", "choreography": name,
+                            "party": party,
+                            "process": {"text": new, "format": "dsl"},
+                            "auto_adapt": True, "commit": True,
+                        },
+                    ))
+                    assert status == 200
+                    status, _ = await service.dispatch(
+                        request("POST", "/check", check)
+                    )
+                    assert status == 200
+                    if index % 10 == 9:
+                        clear_warm_state()
+                        compile_module._COMPILE_CACHE.clear()
+                        gc.collect()
+                        occupancy.append(VERDICTS.info()["size"])
+            finally:
+                service.close()
+            return occupancy
+
+        occupancy = run(main())
+        # A pinning cache grows by a few entries every ten lifecycles
+        # (7, 11, 14 here); entries that die with their kernels stay
+        # at what two resident choreographies own.
+        assert max(occupancy) <= 3 * resident, occupancy
 
 
 class TestStreamingSweep:
