@@ -15,7 +15,10 @@ from repro.afsa.kernel import k_good_states, kernel_of
 from repro.afsa.minimize import minimize
 from repro.afsa.product import intersect
 from repro.afsa.view import project_view
+from repro.afsa.kernel import materialize
+from repro.afsa.serialize import kernel_from_wire, kernel_to_wire
 from repro.workload.generator import (
+    generate_choreography,
     generate_partner_pair,
     random_afsa,
     random_annotated_afsa,
@@ -105,3 +108,36 @@ def test_scaling_view_projection(benchmark, steps):
     benchmark.group = "view-projection"
     benchmark.extra_info["steps"] = steps
     benchmark(lambda: project_view(public, "R"))
+
+
+@pytest.mark.parametrize("spokes", [16, 24, 31])
+def test_scaling_view_projection_fresh(benchmark, spokes):
+    """τ_P of a fanout-shaped hub onto every spoke, from a fresh public
+    automaton each round.
+
+    ``test_scaling_view_projection`` projects the same object every
+    round and so times the view memo.  Here each round gets a new
+    automaton over a new kernel (rebuilt from the wire form in the
+    untimed setup), so nothing derived from the hub is cached: the row
+    times relabeling, ε-elimination and minimization for every spoke,
+    as the first ``/sweep`` over a newly registered hub pays them.
+    """
+    choreography = generate_choreography(seed=3, spokes=spokes, steps=4)
+    public = compile_process(choreography.private("H")).afsa
+    wire = kernel_to_wire(kernel_of(public))
+    parties = [party for party in choreography.parties() if party != "H"]
+    benchmark.group = "view-projection-fresh"
+    benchmark.extra_info["spokes"] = spokes
+    benchmark.extra_info["hub_states"] = len(public.states)
+
+    def fresh_hub():
+        return (materialize(kernel_from_wire(wire), name=public.name),), {}
+
+    def project_every_spoke(hub):
+        return [project_view(hub, party) for party in parties]
+
+    views = benchmark.pedantic(
+        project_every_spoke, setup=fresh_hub, rounds=15, warmup_rounds=1
+    )
+    assert len(views) == spokes
+

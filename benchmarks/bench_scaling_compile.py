@@ -29,6 +29,30 @@ def test_scaling_compile(benchmark, steps):
          if not compiled.mapping.blocks_for_state(state)}
 
 
+@pytest.mark.parametrize("steps", STEPS)
+def test_scaling_compile_fresh(benchmark, steps):
+    """Compile a fresh clone of the model each round.
+
+    The compile memo is keyed by model identity, so the rows above time
+    the memo hit after their first round.  Here the untimed setup hands
+    each round a new ``ProcessModel.clone()``: the row times the
+    traversal, minimization, mapping re-keying and the public
+    process's materialization.
+    """
+    initiator, _ = generate_partner_pair(
+        seed=11, steps=steps, with_loop=True
+    )
+    benchmark.group = "bpel-compile-fresh"
+    benchmark.extra_info["steps"] = steps
+    compiled = benchmark.pedantic(
+        compile_process,
+        setup=lambda: ((initiator.clone(),), {}),
+        rounds=30,
+        warmup_rounds=1,
+    )
+    benchmark.extra_info["public_states"] = len(compiled.afsa.states)
+
+
 @pytest.mark.parametrize("branches", [2, 3, 4, 5])
 def test_scaling_compile_flow_width(benchmark, branches):
     """Interleaving (flow) cost: the shuffle product grows with the

@@ -65,7 +65,7 @@ from repro.afsa.equivalence import (
     language_included,
     language_equal_bounded,
 )
-from repro.afsa.view import project_view, project_view_raw
+from repro.afsa.view import project_view
 from repro.afsa.simulate import ConversationResult, simulate_conversation
 from repro.afsa.serialize import (
     afsa_from_dict,
@@ -115,7 +115,6 @@ __all__ = [
     "PairVerdictCache",
     "product_verdict",
     "project_view",
-    "project_view_raw",
     "prune_dead_states",
     "remove_epsilon",
     "simulate_conversation",

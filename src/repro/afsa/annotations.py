@@ -23,25 +23,37 @@ adjustments reproduce the paper's published artifacts:
 from __future__ import annotations
 
 from repro.afsa.automaton import AFSA
+from repro.afsa.kernel import Kernel, kernel_of, materialize
 from repro.formula.ast import Formula, TRUE
 from repro.formula.simplify import simplify
 from repro.formula.transform import substitute
-from repro.messages.label import label_text
+from repro.messages.alphabet import INTERNER
+
+
+def _reannotated(automaton: AFSA, ann: dict) -> AFSA:
+    """*automaton* with the kernel annotations *ann* (same states,
+    transitions and alphabet), materialized on the trusted path."""
+    kernel = kernel_of(automaton)
+    return materialize(
+        Kernel(
+            n=kernel.n,
+            start=kernel.start,
+            names=kernel.names,
+            finals=kernel.finals,
+            ann=ann,
+            adj=kernel.adj,
+            eps=kernel.eps,
+            alphabet_ids=kernel.alphabet_ids,
+        ),
+        name=automaton.name,
+    )
 
 
 def strip_annotations(automaton: AFSA) -> AFSA:
     """Return *automaton* with all state annotations removed."""
     if not automaton.annotations:
         return automaton
-    return AFSA(
-        states=automaton.states,
-        transitions=[t.as_tuple() for t in automaton.transitions],
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations={},
-        alphabet=automaton.alphabet,
-        name=automaton.name,
-    )
+    return _reannotated(automaton, {})
 
 
 def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
@@ -51,14 +63,12 @@ def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
     no outgoing transition for are substituted with ``true``.  States
     whose whole annotation becomes ``true`` lose their entry.
     """
+    kernel = kernel_of(automaton)
+    text_of = INTERNER.text
     new_annotations: dict = {}
     changed = False
-    for state, formula in automaton.annotations.items():
-        supported = {
-            label_text(transition.label)
-            for transition in automaton.transitions_from(state)
-            if not transition.is_silent
-        }
+    for state, formula in kernel.ann.items():
+        supported = {text_of(lid) for lid in kernel.adj[state]}
 
         def resolver(name: str):
             if name in supported:
@@ -72,12 +82,4 @@ def weaken_unsupported_annotations(automaton: AFSA) -> AFSA:
             new_annotations[state] = weakened
     if not changed:
         return automaton
-    return AFSA(
-        states=automaton.states,
-        transitions=[t.as_tuple() for t in automaton.transitions],
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations=new_annotations,
-        alphabet=automaton.alphabet,
-        name=automaton.name,
-    )
+    return _reannotated(automaton, new_annotations)

@@ -43,11 +43,11 @@ from collections import deque
 from repro.afsa.automaton import AFSA, Transition
 from repro.formula.ast import And, TRUE, Formula, Top, Var
 from repro.formula.evaluate import evaluate
-from repro.formula.simplify import conjoin
-from repro.formula.transform import is_positive
+from repro.formula.simplify import conjoin, simplify
+from repro.formula.transform import is_positive, substitute
 from repro.formula.transform import variables as formula_variables
 from repro.messages.alphabet import Alphabet, INTERNER
-from repro.messages.label import EPSILON
+from repro.messages.label import EPSILON, MessageLabel, parse_label
 
 #: Name of the synthetic sink state added by completion (kept in sync
 #: with the historical ``repro.afsa.complete.SINK_NAME``).
@@ -92,6 +92,7 @@ class Kernel:
         "_replay",
         "_label_masks",
         "_ann_profile",
+        "_partner_index",
         "_digest",
         "__weakref__",
     )
@@ -128,6 +129,7 @@ class Kernel:
         self._replay = None
         self._label_masks = None
         self._ann_profile = None
+        self._partner_index = None
         self._digest = None
 
     # -- memoized derived facts -------------------------------------------
@@ -155,21 +157,7 @@ class Kernel:
         """Return (and cache) the ε-closure of every state as a tuple."""
         if self._closures is None:
             eps = self.eps
-            closures: list = [None] * self.n
-            for state in range(self.n):
-                if not eps[state]:
-                    closures[state] = (state,)
-                    continue
-                seen = {state}
-                frontier = [state]
-                while frontier:
-                    current = frontier.pop()
-                    for target in eps[current]:
-                        if target not in seen:
-                            seen.add(target)
-                            frontier.append(target)
-                closures[state] = tuple(seen)
-            self._closures = closures
+            self._closures = [_closure(eps, state) for state in range(self.n)]
         return self._closures
 
     def reachable(self) -> frozenset:
@@ -290,6 +278,61 @@ class Kernel:
                     positive = False
             self._ann_profile = (conj_masks, complex_states, positive)
         return self._ann_profile
+
+    def partner_index(self) -> tuple:
+        """Return (and cache) what τ_P reads about parties:
+        ``(by_partner, annotated)``.
+
+        * ``by_partner`` maps each party to the frozenset of Σ's label
+          ids it sends or receives;
+        * ``annotated`` lists ``(state, formula, owners, touched,
+          conjunction)`` per annotated state: the parties *every*
+          variable of the formula involves (``None`` for a constant
+          formula), the parties *some* variable involves, and whether
+          the formula is a pure conjunction of variables.
+
+        Both are linear in Σ and the annotations, so a view on any
+        party decides per label and per annotation with one set probe.
+        """
+        if self._partner_index is None:
+            label_of = INTERNER.label
+            by_partner: dict = {}
+            for lid in self.alphabet_ids:
+                label = label_of(lid)
+                if isinstance(label, MessageLabel):
+                    for party in (label.sender, label.receiver):
+                        by_partner.setdefault(party, set()).add(lid)
+            annotated = []
+            for state, formula in self.ann.items():
+                names = _conjunction_variables(formula)
+                conjunction = names is not None
+                if names is None:
+                    names = formula_variables(formula)
+                owners = None
+                touched: set = set()
+                for name in names:
+                    parties = _parties_of(name)
+                    touched |= parties
+                    owners = parties if owners is None else owners & parties
+                annotated.append(
+                    (state, formula, owners, touched, conjunction)
+                )
+            self._partner_index = (
+                {
+                    party: frozenset(lids)
+                    for party, lids in by_partner.items()
+                },
+                annotated,
+            )
+        return self._partner_index
+
+
+def _parties_of(name: str) -> frozenset:
+    """The endpoints of the message an annotation variable names."""
+    label = parse_label(name)
+    if isinstance(label, MessageLabel):
+        return frozenset((label.sender, label.receiver))
+    return frozenset()
 
 
 # -- AFSA ⇄ kernel conversion ------------------------------------------------
@@ -472,6 +515,21 @@ def k_prune(kernel: Kernel, strip_annotations: bool = False) -> Kernel:
     )
 
 
+def _closure(eps: list, state: int) -> tuple:
+    """The ε-closure of *state* over the ε rows *eps*, as a tuple."""
+    if not eps[state]:
+        return (state,)
+    seen = {state}
+    frontier = [state]
+    while frontier:
+        current = frontier.pop()
+        for target in eps[current]:
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return tuple(seen)
+
+
 def k_remove_epsilon(kernel: Kernel) -> Kernel:
     """ε-free equivalent with the original state identities (trimmed).
 
@@ -479,6 +537,13 @@ def k_remove_epsilon(kernel: Kernel) -> Kernel:
     non-ε transitions, finality, and conjoined annotations of its
     ε-closure (conjunction ordered by the repr of the member names);
     unreachable states are dropped.
+
+    Only the survivors are closed: a worklist starts at the start state
+    and follows the merged visible rows, so a state that is entered
+    only through ε-moves is never closed or merged — a view of a hub
+    on one spoke is mostly such ε-chains.  Survivors keep their
+    relative index order, exactly as closing every state and trimming
+    afterwards would number them.
     """
     if kernel._eps_free is not None:
         return kernel._eps_free
@@ -486,32 +551,40 @@ def k_remove_epsilon(kernel: Kernel) -> Kernel:
     if not kernel.has_epsilon:
         result = k_trim(kernel)
     else:
-        closures = kernel.closures()
         names = kernel.names
         finals = kernel.finals
         ann = kernel.ann
         adj = kernel.adj
+        eps = kernel.eps
+        closures = kernel._closures
 
-        new_finals = set()
-        new_ann: dict = {}
-        new_adj: list = []
-        for state in range(kernel.n):
-            closure = closures[state]
+        rows: dict = {kernel.start: None}
+        new_finals = []
+        formulas: dict = {}
+        frontier = [kernel.start]
+        while frontier:
+            state = frontier.pop()
+            closure = (
+                closures[state] if closures is not None
+                else _closure(eps, state)
+            )
             if len(closure) == 1:
                 if state in finals:
-                    new_finals.add(state)
-                formula = ann.get(state, TRUE)
-                row = dict(adj[state])
+                    new_finals.append(state)
+                formula = ann.get(state)
+                row = adj[state]
             else:
                 if any(member in finals for member in closure):
-                    new_finals.add(state)
-                formula = TRUE
-                for member in sorted(
-                    closure, key=lambda i: repr(names[i])
-                ):
-                    member_formula = ann.get(member)
-                    if member_formula is not None:
-                        formula = conjoin(formula, member_formula)
+                    new_finals.append(state)
+                annotated = [member for member in closure if member in ann]
+                if not annotated:
+                    formula = None
+                else:
+                    if len(annotated) > 1:
+                        annotated.sort(key=lambda i: repr(names[i]))
+                    formula = ann[annotated[0]]
+                    for member in annotated[1:]:
+                        formula = conjoin(formula, ann[member])
                 merged: dict = {}
                 for member in closure:
                     for lid, targets in adj[member].items():
@@ -521,28 +594,97 @@ def k_remove_epsilon(kernel: Kernel) -> Kernel:
                         else:
                             bucket.update(targets)
                 row = {
-                    lid: tuple(targets)
-                    for lid, targets in merged.items()
+                    lid: tuple(targets) for lid, targets in merged.items()
                 }
-            if formula != TRUE:
-                new_ann[state] = formula
-            new_adj.append(row)
+            if formula is not None and formula != TRUE:
+                formulas[state] = formula
+            rows[state] = row
+            for targets in row.values():
+                for target in targets:
+                    if target not in rows:
+                        rows[target] = None
+                        frontier.append(target)
 
-        intermediate = Kernel(
-            n=kernel.n,
-            start=kernel.start,
-            names=list(names),
-            finals=frozenset(new_finals),
-            ann=new_ann,
-            adj=new_adj,
-            eps=[()] * kernel.n,
+        order = sorted(rows)
+        remap = {old: new for new, old in enumerate(order)}
+        result = Kernel(
+            n=len(order),
+            start=remap[kernel.start],
+            names=[names[old] for old in order],
+            finals=frozenset(remap[state] for state in new_finals),
+            ann={
+                remap[old]: formulas[old] for old in order if old in formulas
+            },
+            adj=[
+                {
+                    lid: tuple(remap[t] for t in targets)
+                    for lid, targets in rows[old].items()
+                }
+                for old in order
+            ],
+            eps=[()] * len(order),
             alphabet_ids=kernel.alphabet_ids,
         )
-        result = k_trim(intermediate)
 
     result._eps_free = result
     kernel._eps_free = result
     return result
+
+
+def k_project(kernel: Kernel, partner: str) -> Kernel:
+    """τ_partner (Sect. 3.4) on the kernel, before ε-elimination.
+
+    Labels of *kernel*'s alphabet that do not involve *partner* become
+    ε: their targets join the ε rows.  Annotation variables naming
+    messages that do not involve *partner* are neutralized (substituted
+    with ``true``; see :mod:`repro.afsa.view`), and the alphabet shrinks
+    to the partner's labels.  States, names and numbering are kept, so
+    the result's states are the input's states.  Rows without a
+    foreign label are shared with *kernel*, not copied.
+    """
+    by_partner, annotated = kernel.partner_index()
+    visible = by_partner.get(partner, frozenset())
+    adj = []
+    eps = []
+    for row, silent in zip(kernel.adj, kernel.eps):
+        if visible.issuperset(row):
+            adj.append(row)
+            eps.append(silent)
+            continue
+        kept = {}
+        hidden = list(silent)
+        for lid, targets in row.items():
+            if lid in visible:
+                kept[lid] = targets
+            else:
+                hidden.extend(targets)
+        adj.append(kept)
+        eps.append(tuple(hidden))
+
+    def neutralize(name: str):
+        return None if partner in _parties_of(name) else True
+
+    ann = {}
+    for state, formula, owners, touched, conjunction in annotated:
+        if owners is None or partner in owners:
+            ann[state] = formula
+        elif conjunction and partner not in touched:
+            continue  # every conjunct neutralized: true
+        else:
+            formula = simplify(substitute(formula, neutralize))
+            if formula != TRUE:
+                ann[state] = formula
+
+    return Kernel(
+        n=kernel.n,
+        start=kernel.start,
+        names=kernel.names,
+        finals=kernel.finals,
+        ann=ann,
+        adj=adj,
+        eps=eps,
+        alphabet_ids=visible,
+    )
 
 
 def k_determinize(kernel: Kernel) -> Kernel:
@@ -868,35 +1010,37 @@ def k_difference(left: Kernel, right: Kernel) -> Kernel:
     return result
 
 
-def k_minimize(kernel: Kernel) -> Kernel:
-    """Annotation-aware Moore minimization with canonical ``m0…`` names.
-
-    Reproduces the historical ``minimize`` exactly: determinize + trim,
-    initial partition by (finality, annotation), refinement on successor
-    blocks, block naming in BFS order over labels sorted by text.
-    """
+def _moore(kernel: Kernel) -> tuple:
+    """Shared core of :func:`k_minimize` and
+    :func:`k_minimize_with_origins`: ``(result, dfa, block_of,
+    position)``, where *dfa* is the trimmed determinization that was
+    refined, ``block_of[s]`` is DFA state *s*'s Moore block and
+    ``position[block]`` that block's output state."""
     dfa = k_trim(k_determinize(kernel))
     n = dfa.n
-    labels = dfa.sorted_label_ids()
+    by_text = {
+        lid: index for index, lid in enumerate(dfa.sorted_label_ids())
+    }.__getitem__
 
-    # succ[s][li] = successor of state s on label index li, or -1.
-    succ = []
-    for state in range(n):
-        row = dfa.adj[state]
-        succ.append(
-            [
-                row[lid][0] if lid in row else -1
-                for lid in labels
-            ]
-        )
+    # Sparse rows: per state, the labels it actually has, in label-text
+    # order, and the successor on each.
+    labels: list = []
+    succ: list = []
+    for row in dfa.adj:
+        lids = tuple(sorted(row, key=by_text)) if len(row) > 1 else tuple(row)
+        labels.append(lids)
+        succ.append([row[lid][0] for lid in lids])
 
-    # Initial partition: (finality, annotation) classes.
+    # Initial partition: (finality, annotation, label set) classes.  A
+    # stable partition never mixes label sets, so folding them in here
+    # leaves the coarsest stable refinement unchanged and lets the
+    # signatures below compare successor blocks position by position.
     finals = dfa.finals
     ann = dfa.ann
     class_ids: dict = {}
     block_of = [0] * n
     for state in range(n):
-        key = (state in finals, ann.get(state, TRUE))
+        key = (state in finals, ann.get(state, TRUE), labels[state])
         block = class_ids.get(key)
         if block is None:
             block = len(class_ids)
@@ -907,24 +1051,18 @@ def k_minimize(kernel: Kernel) -> Kernel:
     while True:
         signature_ids: dict = {}
         new_block_of = [0] * n
-        for state in range(n):
-            signature = (
-                block_of[state],
-                tuple(
-                    block_of[target] if target >= 0 else -1
-                    for target in succ[state]
-                ),
-            )
+        block_at = block_of.__getitem__
+        for state, targets in enumerate(succ):
+            signature = (block_of[state], *map(block_at, targets))
             block = signature_ids.get(signature)
             if block is None:
                 block = len(signature_ids)
                 signature_ids[signature] = block
             new_block_of[state] = block
+        block_of = new_block_of
         if len(signature_ids) == block_count:
-            block_of = new_block_of
             break
         block_count = len(signature_ids)
-        block_of = new_block_of
 
     # One representative per block (all members agree on successors,
     # finality, and annotation).
@@ -940,40 +1078,36 @@ def k_minimize(kernel: Kernel) -> Kernel:
     while cursor < len(order):
         block = order[cursor]
         cursor += 1
-        rep = representative[block]
-        for target in succ[rep]:
-            if target >= 0:
-                successor_block = block_of[target]
-                if successor_block not in seen:
-                    seen.add(successor_block)
-                    order.append(successor_block)
+        for target in succ[representative[block]]:
+            successor_block = block_of[target]
+            if successor_block not in seen:
+                seen.add(successor_block)
+                order.append(successor_block)
     for block in sorted(representative):  # unreachable blocks, stable
         if block not in seen:
             seen.add(block)
             order.append(block)
 
     position = {block: i for i, block in enumerate(order)}
-    names = [f"m{i}" for i in range(len(order))]
-    adj: list = [dict() for _ in range(len(order))]
+    adj: list = []
     new_finals = set()
     new_ann: dict = {}
-    for block in order:
+    for index, block in enumerate(order):
         rep = representative[block]
-        row = adj[position[block]]
-        for li, lid in enumerate(labels):
-            target = succ[rep][li]
-            if target >= 0:
-                row[lid] = (position[block_of[target]],)
+        adj.append({
+            lid: (position[block_of[target]],)
+            for lid, target in zip(labels[rep], succ[rep])
+        })
         if rep in finals:
-            new_finals.add(position[block])
+            new_finals.add(index)
         formula = ann.get(rep)
         if formula is not None:
-            new_ann[position[block]] = formula
+            new_ann[index] = formula
 
     result = Kernel(
         n=len(order),
         start=position[start_block],
-        names=names,
+        names=[f"m{i}" for i in range(len(order))],
         finals=frozenset(new_finals),
         ann=new_ann,
         adj=adj,
@@ -983,7 +1117,85 @@ def k_minimize(kernel: Kernel) -> Kernel:
     result._deterministic = True
     result._eps_free = result
     result._det = result
-    return result
+    return result, dfa, block_of, position
+
+
+def k_minimize(kernel: Kernel) -> Kernel:
+    """Annotation-aware Moore minimization with canonical ``m0…`` names.
+
+    Reproduces the historical ``minimize`` exactly: determinize + trim,
+    initial partition by (finality, annotation), refinement on successor
+    blocks, block naming in BFS order over labels sorted by text.  Rows
+    come out in label-text order, so the result does not depend on the
+    input's state numbering or row order.
+    """
+    return _moore(kernel)[0]
+
+
+def k_minimize_with_origins(kernel: Kernel) -> tuple:
+    """:func:`k_minimize` plus the input states each output state
+    represents: ``(result, origins)`` with ``origins[i]`` the set of
+    *kernel*'s int states behind output state ``i``.
+
+    Those are the members of the DFA subsets in output state ``i``'s
+    Moore block together with their ε-closures in *kernel* — the raw
+    states a word reaching ``i`` can leave the input in.  This is what
+    a lockstep subset simulation of the two automata collects (the
+    Table-1 correspondence of Sect. 3.3), read off the construction
+    instead of re-walked.
+    """
+    result, dfa, block_of, position = _moore(kernel)
+    base = k_remove_epsilon(kernel)
+    if dfa is base:
+        members = [(state,) for state in range(dfa.n)]
+    else:
+        base_index = base.index()
+        members = [
+            [base_index[name] for name in subset] for subset in dfa.names
+        ]
+    if base is kernel:
+        to_input = range(kernel.n)
+    else:
+        index = kernel.index()
+        to_input = [index[name] for name in base.names]
+
+    eps = kernel.eps
+    closures = kernel._closures
+    closed: dict = {}
+    origins = [set() for _ in range(result.n)]
+    for state, subset in enumerate(members):
+        bucket = origins[position[block_of[state]]]
+        for member in subset:
+            closure = closed.get(member)
+            if closure is None:
+                source = to_input[member]
+                closure = closed[member] = (
+                    closures[source] if closures is not None
+                    else _closure(eps, source)
+                )
+            bucket.update(closure)
+    return result, origins
+
+
+def k_renamed(kernel: Kernel, names: list) -> Kernel:
+    """*kernel* with its states renamed to *names* (same numbering,
+    rows shared, derived ε-free and deterministic facts carried)."""
+    renamed = Kernel(
+        n=kernel.n,
+        start=kernel.start,
+        names=names,
+        finals=kernel.finals,
+        ann=kernel.ann,
+        adj=kernel.adj,
+        eps=kernel.eps,
+        alphabet_ids=kernel.alphabet_ids,
+    )
+    if kernel._eps_free is kernel:
+        renamed._eps_free = renamed
+    if kernel._det is kernel:
+        renamed._det = renamed
+    renamed._deterministic = kernel._deterministic
+    return renamed
 
 
 # -- emptiness ----------------------------------------------------------------

@@ -17,32 +17,18 @@ well-formed).  The accepted language is unchanged.
 from __future__ import annotations
 
 from repro.afsa.automaton import AFSA
+from repro.afsa.kernel import k_prune, kernel_of, materialize
 
 
 def prune_dead_states(automaton: AFSA) -> AFSA:
     """Return *automaton* without states that cannot reach a final state.
 
     Language-preserving.  The start state is always kept (an automaton
-    needs one) even when the language is empty.
+    needs one) even when the language is empty.  Runs as
+    :func:`repro.afsa.kernel.k_prune` and materializes once.
     """
-    keep = automaton.coreachable_states() & automaton.reachable_states()
-    keep.add(automaton.start)
-    if keep == set(automaton.states):
+    kernel = kernel_of(automaton)
+    pruned = k_prune(kernel)
+    if pruned is kernel:
         return automaton
-    return AFSA(
-        states=keep,
-        transitions=[
-            transition.as_tuple()
-            for transition in automaton.transitions
-            if transition.source in keep and transition.target in keep
-        ],
-        start=automaton.start,
-        finals=[state for state in automaton.finals if state in keep],
-        annotations={
-            state: formula
-            for state, formula in automaton.annotations.items()
-            if state in keep
-        },
-        alphabet=automaton.alphabet,
-        name=automaton.name,
-    )
+    return materialize(pruned, name=automaton.name)

@@ -11,71 +11,27 @@ substituted with ``true``): such requirements belong to a *different*
 bilateral conversation and can never be satisfied by an ε-labeled
 transition — without neutralization every projected view would be
 trivially empty, contradicting Figs. 8/10/12/16 (see DESIGN.md).
+
+The whole chain runs on the kernel (:func:`repro.afsa.kernel.k_project`,
+then survivors-only ε-elimination and minimization) and the view is
+materialized once; no relabeled intermediate automaton is built.
 """
 
 from __future__ import annotations
 
 from repro.afsa.automaton import AFSA
-from repro.afsa.epsilon import remove_epsilon
-from repro.afsa.minimize import minimize as minimize_afsa
-from repro.formula.ast import Formula, TRUE
-from repro.formula.simplify import simplify
-from repro.formula.transform import substitute
-from repro.messages.label import (
-    EPSILON,
-    MessageLabel,
-    label_involves,
-    parse_label,
+from repro.afsa.kernel import (
+    k_minimize,
+    k_project,
+    k_remove_epsilon,
+    kernel_of,
+    materialize,
 )
 
 
-def _neutralize_foreign_variables(formula: Formula, partner: str) -> Formula:
-    """Substitute ``true`` for variables not involving *partner*."""
-
-    def resolver(name: str):
-        parsed = parse_label(name)
-        if isinstance(parsed, MessageLabel) and parsed.involves(partner):
-            return None  # keep
-        return True  # neutralize
-
-    return simplify(substitute(formula, resolver))
-
-
-def project_view_raw(automaton: AFSA, partner: str) -> AFSA:
-    """Return the *relabeled* view: foreign messages become ε, foreign
-    annotation variables become ``true``, state identities are kept.
-
-    This is the pre-minimization stage of τ_partner; the propagation
-    pipeline uses it to map view states back to the original states
-    (and from there, through the mapping table, to private-process
-    blocks).
-    """
-    transitions = []
-    for transition in automaton.transitions:
-        if transition.is_silent or label_involves(
-            transition.label, partner
-        ):
-            transitions.append(transition.as_tuple())
-        else:
-            transitions.append(
-                (transition.source, EPSILON, transition.target)
-            )
-
-    annotations = {}
-    for state, formula in automaton.annotations.items():
-        neutralized = _neutralize_foreign_variables(formula, partner)
-        if neutralized != TRUE:
-            annotations[state] = neutralized
-
-    return AFSA(
-        states=automaton.states,
-        transitions=transitions,
-        start=automaton.start,
-        finals=automaton.finals,
-        annotations=annotations,
-        alphabet=automaton.alphabet.involving(partner),
-        name=f"τ_{partner}({automaton.name or 'A'})",
-    )
+def view_name(automaton: AFSA, partner: str) -> str:
+    """The name τ_partner gives its views of *automaton*."""
+    return f"τ_{partner}({automaton.name or 'A'})"
 
 
 def project_view(
@@ -101,10 +57,11 @@ def project_view(
     key = (partner, minimize)
     view = memo.get(key)
     if view is None:
-        projected = project_view_raw(automaton, partner)
-        if minimize:
-            view = minimize_afsa(projected).with_name(projected.name)
-        else:
-            view = remove_epsilon(projected)
+        projected = k_project(kernel_of(automaton), partner)
+        reduced = (
+            k_minimize(projected) if minimize
+            else k_remove_epsilon(projected)
+        )
+        view = materialize(reduced, name=view_name(automaton, partner))
         memo[key] = view
     return view

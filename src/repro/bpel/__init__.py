@@ -37,7 +37,7 @@ from repro.bpel.model import (
 )
 from repro.bpel.validate import validate_process
 from repro.bpel.firsts import first_messages
-from repro.bpel.mapping import MappingTable, state_correspondence
+from repro.bpel.mapping import MappingTable
 from repro.bpel.compile import (
     ANNOTATE_ALL_CHOICES,
     ANNOTATE_NONE,
@@ -82,6 +82,5 @@ __all__ = [
     "process_to_dsl",
     "process_to_xml",
     "render_diff",
-    "state_correspondence",
     "validate_process",
 ]

@@ -38,9 +38,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.afsa.automaton import AFSA, AFSABuilder, State
-from repro.afsa.minimize import minimize
+from repro.afsa.kernel import (
+    k_minimize_with_origins,
+    k_renamed,
+    kernel_of,
+    materialize,
+)
 from repro.bpel.firsts import first_messages
-from repro.bpel.mapping import BlockPath, MappingTable, state_correspondence
+from repro.bpel.mapping import BlockPath, MappingTable
 from repro.bpel.model import (
     Activity,
     Assign,
@@ -610,33 +615,21 @@ def compile_process(
     raw = compiler.builder.build(start=entry)
     raw = raw.with_name(f"{process.name} (raw public)")
 
-    minimized = minimize(raw)
-    # minimize() names states m0..mk in BFS order; renumber 1..n to match
-    # the paper's figures (Fig. 6, Table 1).
-    renumber = {
-        state: int(str(state)[1:]) + 1 for state in minimized.states
-    }
-    public = AFSA(
-        states=renumber.values(),
-        transitions=[
-            (
-                renumber[transition.source],
-                transition.label,
-                renumber[transition.target],
-            )
-            for transition in minimized.transitions
-        ],
-        start=renumber[minimized.start],
-        finals=[renumber[state] for state in minimized.finals],
-        annotations={
-            renumber[state]: formula
-            for state, formula in minimized.annotations.items()
-        },
-        alphabet=minimized.alphabet,
+    # Minimize on the kernel; the blocks are named m0..mk in BFS order,
+    # renumbered 1..n to match the paper's figures (Fig. 6, Table 1).
+    # The same construction reports which raw states each public state
+    # represents, which re-keys the mapping table.
+    raw_kernel = kernel_of(raw)
+    minimized, origins = k_minimize_with_origins(raw_kernel)
+    public = materialize(
+        k_renamed(minimized, list(range(1, minimized.n + 1))),
         name=f"{process.name} public",
     )
-
-    correspondence = state_correspondence(raw, public)
+    raw_names = raw_kernel.names
+    correspondence = {
+        index + 1: {raw_names[state] for state in states}
+        for index, states in enumerate(origins)
+    }
     mapping = compiler.mapping.composed_with(correspondence)
     compiled = CompiledProcess(
         process=process,

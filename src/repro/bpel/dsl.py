@@ -30,14 +30,17 @@ Grammar, line-oriented with 2-space (or consistent) indentation:
 * ``case ["NAME"] [condition="…"]`` under ``switch``; ``otherwise``,
 * ``on PARTNER OP ["NAME"]`` under ``pick``.
 
-Quoted strings may contain spaces.  Blank lines and ``#`` comments are
-ignored.
+Lines split into tokens as ``shlex.split`` splits them: quoted strings
+may contain spaces, and inside double quotes ``\\"`` and ``\\\\`` stand
+for ``"`` and ``\\``.  ``party=``, ``condition=`` and ``sync`` are
+keywords only when unquoted, so a quoted name never reads as one; the
+renderer quotes and escapes every name and condition that needs it.
+Blank lines and ``#`` comments are ignored.
 """
 
 from __future__ import annotations
 
 import re
-import shlex
 
 from repro.bpel.model import (
     Activity,
@@ -61,31 +64,108 @@ from repro.bpel.model import (
 )
 from repro.errors import ProcessParseError
 
-_CONDITION_RE = re.compile(r'condition=(?:"([^"]*)"|(\S+))')
+#: One token of a DSL line, after optional whitespace: adjacent pieces
+#: (unquoted text, ``'…'``, ``"…"``, a backslash escape) with no
+#: whitespace between them; or, in ``bad``, an unclosed quote or a
+#: trailing backslash.  With :data:`_PIECE_RE` this is the POSIX
+#: ``shlex.split`` grammar: whitespace is ``' \t\r\n'`` only, ``'…'`` is
+#: literal, ``"…"`` honors ``\"`` and ``\\`` (any other backslash
+#: stays), and a backslash outside quotes escapes the next character.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]*(?:(?P<token>(?:"
+    r"""[^ \t\r\n"'\\]+"""
+    r"|'[^']*'"
+    r'|"(?:[^"\\]|\\.)*"'
+    r"|\\.)+)"
+    r"|(?P<bad>[^ \t\r\n]))",
+    re.DOTALL,
+)
+#: The pieces of a token that holds quotes or backslashes.
+_PIECE_RE = re.compile(
+    r"""(?P<word>[^"'\\]+)"""
+    r"|'(?P<single>[^']*)'"
+    r'|"(?P<double>(?:[^"\\]|\\.)*)"'
+    r"|\\(?P<escaped>.)",
+    re.DOTALL,
+)
+_DOUBLE_ESCAPE_RE = re.compile(r'\\(["\\])')
+
+_CONDITION = "condition="
+
+
+def _unquote(token: str) -> str:
+    """The text of a token that holds quotes or backslashes."""
+    text = []
+    for match in _PIECE_RE.finditer(token):
+        kind = match.lastgroup
+        piece = match.group(kind)
+        if kind == "double" and "\\" in piece:
+            piece = _DOUBLE_ESCAPE_RE.sub(r"\1", piece)
+        text.append(piece)
+    return "".join(text)
+
+
+def _split(text: str) -> tuple[list[str], list[bool]]:
+    """Tokenize one line like ``shlex.split`` (POSIX, whitespace split).
+
+    Returns the tokens and, per token, whether it starts with unquoted
+    text: only such a token can be a ``party=``, ``condition=`` or
+    ``sync`` keyword, so a quoted name is never mistaken for one.
+
+    Raises:
+        ValueError: on an unclosed quote or a trailing backslash.
+    """
+    tokens: list[str] = []
+    bare: list[bool] = []
+    for match in _TOKEN_RE.finditer(text):
+        token = match.group("token")
+        if token is None:
+            raise ValueError(
+                "No escaped character" if match.group("bad") == "\\"
+                else "No closing quotation"
+            )
+        if '"' in token or "'" in token or "\\" in token:
+            bare.append(token[0] not in "\"'\\")
+            if (
+                token[0] == token[-1] == '"'
+                and token.count('"') == 2
+                and "\\" not in token
+            ):
+                token = token[1:-1]  # the common "quoted name"
+            else:
+                token = _unquote(token)
+        else:
+            bare.append(True)
+        tokens.append(token)
+    return tokens, bare
 
 
 class _Line:
-    __slots__ = ("number", "indent", "tokens", "condition", "raw")
+    __slots__ = ("number", "indent", "tokens", "bare", "condition", "raw")
 
     def __init__(self, number: int, raw: str):
         self.number = number
         self.raw = raw
         stripped = raw.lstrip(" ")
         self.indent = len(raw) - len(stripped)
-        condition_match = _CONDITION_RE.search(stripped)
-        self.condition = ""
-        if condition_match:
-            self.condition = condition_match.group(1) or condition_match.group(2)
-            stripped = (
-                stripped[: condition_match.start()]
-                + stripped[condition_match.end():]
-            )
         try:
-            self.tokens = shlex.split(stripped)
+            tokens, bare = _split(stripped)
         except ValueError as error:
             raise ProcessParseError(
                 f"line {number}: {error}: {raw!r}"
             ) from error
+        self.condition = ""
+        for index, token in enumerate(tokens):
+            if bare[index] and token.startswith(_CONDITION):
+                self.condition = token[len(_CONDITION):]
+                del tokens[index], bare[index]
+                break
+        if not tokens:
+            raise ProcessParseError(
+                f"line {number}: expected a keyword: {raw!r}"
+            )
+        self.tokens = tokens
+        self.bare = bare
 
 
 def _logical_lines(text: str) -> list[_Line]:
@@ -159,7 +239,11 @@ class _DslParser:
                 raise fail("invoke needs PARTNER and OPERATION")
             synchronous = False
             remainder = rest[2:]
-            if remainder and remainder[0].lower() == "sync":
+            if (
+                remainder
+                and remainder[0].lower() == "sync"
+                and line.bare[3]
+            ):
                 synchronous = True
                 remainder = remainder[1:]
             return Invoke(
@@ -282,8 +366,8 @@ def process_from_dsl(text: str) -> ProcessModel:
         )
     name = ""
     party = ""
-    for token in header.tokens[1:]:
-        if token.startswith("party="):
+    for token, bare in zip(header.tokens[1:], header.bare[1:]):
+        if bare and token.startswith("party="):
             party = token[len("party="):]
         elif not name:
             name = token
@@ -331,10 +415,20 @@ def process_from_dsl(text: str) -> ProcessModel:
     )
 
 
+_BARE_RE = re.compile(r"[A-Za-z0-9_.?-]+")
+
+
+def _escape(text: str) -> str:
+    """*text* ready to sit between double quotes."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def _quote(text: str) -> str:
-    if re.fullmatch(r"[A-Za-z0-9_.?-]+", text):
+    """*text* as one token: bare when it is a plain word that is not a
+    keyword, else double-quoted with ``\\`` and ``"`` escaped."""
+    if _BARE_RE.fullmatch(text) and text.lower() != "sync":
         return text
-    return '"' + text.replace('"', "'") + '"'
+    return f'"{_escape(text)}"'
 
 
 def _render(activity: Activity, indent: int) -> list[str]:
@@ -368,7 +462,7 @@ def _render(activity: Activity, indent: int) -> list[str]:
         return lines
     if isinstance(activity, While):
         lines = [
-            f'{pad}while{suffix} condition="{activity.condition}"'
+            f'{pad}while{suffix} condition="{_escape(activity.condition)}"'
         ]
         lines.extend(_render(activity.body, indent + 1))
         return lines
@@ -383,7 +477,7 @@ def _render(activity: Activity, indent: int) -> list[str]:
             case_suffix = f" {_quote(case.name)}" if case.name else ""
             lines.append(
                 f'{child_pad}case{case_suffix} '
-                f'condition="{case.condition}"'
+                f'condition="{_escape(case.condition)}"'
             )
             lines.extend(_render(case.activity, indent + 2))
         if activity.otherwise is not None:

@@ -8,17 +8,15 @@ propagation algorithms use in step 3 ("derive the regions of the
 opponent's private process where adaptations have to be performed").
 
 Because the published public processes are *minimized*, the table must
-survive minimization: :func:`state_correspondence` computes which raw
-compiler states each minimized state represents by a lockstep
-subset-simulation of the two automata, and
+survive minimization: the minimizer reports which raw compiler states
+each minimized state represents
+(:func:`repro.afsa.kernel.k_minimize_with_origins`), and
 :meth:`MappingTable.composed_with` regroups the entries accordingly.
 """
 
 from __future__ import annotations
 
-from repro.afsa.automaton import AFSA, State
-from repro.afsa.epsilon import epsilon_closure
-from repro.messages.label import label_text
+from repro.afsa.automaton import State
 
 #: A block path: root-first chain of block names, e.g.
 #: ("BPELProcess", "Sequence:buyer process", "While:tracking").
@@ -119,7 +117,7 @@ class MappingTable:
         """Return a table keyed by new states.
 
         *correspondence* maps each new state to the raw states it
-        represents (see :func:`state_correspondence`); entries are
+        represents (``CompiledProcess.correspondence``); entries are
         unions of the raw states' entries.
         """
         result = MappingTable()
@@ -136,53 +134,3 @@ class MappingTable:
 
     def __repr__(self) -> str:
         return f"<MappingTable: {len(self._entries)} states>"
-
-
-def state_correspondence(
-    raw: AFSA, reduced: AFSA
-) -> dict[State, set[State]]:
-    """Map each state of *reduced* to the raw states it represents.
-
-    *reduced* must be a deterministic quotient of *raw* (the result of
-    ε-elimination + determinization + minimization).  The correspondence
-    is computed by a lockstep breadth-first subset simulation: both
-    automata read the same labels from their start states; the subset of
-    raw states reached alongside a reduced state belongs to it.
-    """
-    def closure(states: frozenset) -> frozenset:
-        result: set[State] = set()
-        for state in states:
-            result |= epsilon_closure(raw, state)
-        return frozenset(result)
-
-    start = closure(frozenset({raw.start}))
-    correspondence: dict[State, set[State]] = {reduced.start: set(start)}
-    visited: set[tuple[State, frozenset]] = {(reduced.start, start)}
-    queue: list[tuple[State, frozenset]] = [(reduced.start, start)]
-    while queue:
-        reduced_state, raw_states = queue.pop(0)
-        for label in sorted(
-            {
-                transition.label
-                for state in raw_states
-                for transition in raw.transitions_from(state)
-                if not transition.is_silent
-            },
-            key=label_text,
-        ):
-            reduced_targets = reduced.successors(reduced_state, label)
-            if not reduced_targets:
-                continue
-            (reduced_target,) = reduced_targets
-            raw_targets: set[State] = set()
-            for state in raw_states:
-                raw_targets |= raw.successors(state, label)
-            raw_target_closure = closure(frozenset(raw_targets))
-            correspondence.setdefault(reduced_target, set()).update(
-                raw_target_closure
-            )
-            key = (reduced_target, raw_target_closure)
-            if key not in visited:
-                visited.add(key)
-                queue.append((reduced_target, raw_target_closure))
-    return correspondence

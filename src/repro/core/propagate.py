@@ -47,15 +47,16 @@ from repro.afsa.emptiness import is_consistent
 from repro.afsa.kernel import (
     k_difference,
     k_minimize,
+    k_minimize_with_origins,
+    k_project,
     k_prune,
     k_union,
     kernel_of,
     materialize,
 )
-from repro.afsa.minimize import minimize
-from repro.afsa.view import project_view, project_view_raw
+from repro.afsa.view import project_view, view_name
 from repro.bpel.compile import CompiledProcess
-from repro.bpel.mapping import MappingTable, state_correspondence
+from repro.bpel.mapping import MappingTable
 from repro.messages.label import Label, label_involves, label_text
 
 #: Delta kinds recorded by :func:`transition_deltas`.
@@ -205,9 +206,16 @@ def _bilateral_base(
     ]
     if not foreign:
         return public, opponent.mapping
-    relabeled = project_view_raw(public, originator_party)
-    view = minimize(relabeled).with_name(relabeled.name)
-    correspondence = state_correspondence(relabeled, view)
+    reduced, origins = k_minimize_with_origins(
+        k_project(kernel_of(public), originator_party)
+    )
+    view = materialize(reduced, name=view_name(public, originator_party))
+    names = reduced.names
+    public_names = kernel_of(public).names
+    correspondence = {
+        names[index]: {public_names[state] for state in states}
+        for index, states in enumerate(origins)
+    }
     mapping = opponent.mapping.composed_with(correspondence)
     return view, mapping
 

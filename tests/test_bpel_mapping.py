@@ -1,8 +1,18 @@
 """Unit tests for the mapping table (Table 1) and state correspondence."""
 
-from repro.bpel.mapping import MappingTable, state_correspondence
+from repro.bpel.mapping import MappingTable
 from repro.afsa.automaton import AFSABuilder
-from repro.afsa.minimize import minimize
+from repro.afsa.kernel import k_minimize_with_origins, kernel_of
+
+
+def state_correspondence(automaton):
+    """Minimized state name -> the raw state names it represents."""
+    kernel = kernel_of(automaton)
+    reduced, origins = k_minimize_with_origins(kernel)
+    return {
+        reduced.names[index]: {kernel.names[state] for state in states}
+        for index, states in enumerate(origins)
+    }
 
 
 class TestMappingTable:
@@ -75,9 +85,8 @@ class TestStateCorrespondence:
         builder.add_transition("a", "A#B#x", "b")
         builder.mark_final("b")
         automaton = builder.build(start="a")
-        correspondence = state_correspondence(automaton, automaton)
-        assert correspondence["a"] == {"a"}
-        assert correspondence["b"] == {"b"}
+        correspondence = state_correspondence(automaton)
+        assert correspondence == {"m0": {"a"}, "m1": {"b"}}
 
     def test_merged_states_grouped(self):
         builder = AFSABuilder()
@@ -87,8 +96,7 @@ class TestStateCorrespondence:
         builder.add_transition("b2", "A#B#z", "f")
         builder.mark_final("f")
         automaton = builder.build(start="a")
-        minimal = minimize(automaton)
-        correspondence = state_correspondence(automaton, minimal)
+        correspondence = state_correspondence(automaton)
         merged = [
             raw for raw in correspondence.values() if raw == {"b1", "b2"}
         ]
@@ -101,8 +109,7 @@ class TestStateCorrespondence:
         builder.add_transition("c", "A#B#y", "f")
         builder.mark_final("f")
         automaton = builder.build(start="a")
-        minimal = minimize(automaton)
-        correspondence = state_correspondence(automaton, minimal)
+        correspondence = state_correspondence(automaton)
         post_x = next(
             raw
             for reduced, raw in correspondence.items()

@@ -1,15 +1,18 @@
 """Import lint mirrored by CI: eager products and differences stay at
-their construction sites.
+their construction sites, and validated automata at input boundaries.
 
 Classification and consistency paths (Defs. 5/6, version lookup,
 bilateral checks) answer emptiness questions lazily; only propagation
 (``core/propagate.py``) and the Fig. 5 reproduction
 (``scenario/figures.py``) may import ``intersect``, ``difference``,
-``k_intersect`` or ``k_difference`` outside :mod:`repro.afsa`.
-``tools/check_imports.py`` enforces this on the import graph — aliases,
-relative imports, package re-exports and module attributes included —
-and CI runs the same tool; this test runs it for local runs and names
-the offender.
+``k_intersect`` or ``k_difference`` outside :mod:`repro.afsa`.  And the
+validating ``AFSA(...)`` constructor is called only by the allowlisted
+input boundaries (JSON input, ``AFSABuilder.build``, the workload
+generators, …); views, public processes and propagation results are
+materialized from their kernels.  ``tools/check_imports.py`` enforces
+both on the AST — aliases, relative imports, package re-exports and
+module attributes included — and CI runs the same tool; this test runs
+it for local runs and names the offender.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from check_imports import ALLOWED, check  # noqa: E402
+from check_imports import ALLOWED, CONSTRUCTION_SITES, check  # noqa: E402
 
 
 def test_eager_constructions_stay_at_their_sites():
@@ -29,6 +32,18 @@ def test_eager_constructions_stay_at_their_sites():
         "eager product/difference imported outside its construction "
         "sites:\n" + "\n".join(failures)
     )
+
+
+def test_every_construction_site_states_its_reason():
+    assert set(CONSTRUCTION_SITES) == {
+        "afsa/serialize.py::afsa_from_dict",
+        "afsa/automaton.py::AFSABuilder.build",
+        "afsa/automaton.py::AFSA.trimmed",
+        "afsa/automaton.py::AFSA.relabel_states",
+        "workload/generator.py::random_afsa",
+        "workload/generator.py::random_annotated_afsa",
+    }
+    assert all(reason.strip() for reason in CONSTRUCTION_SITES.values())
 
 
 def test_every_allowlisted_site_states_its_reason():
@@ -94,4 +109,73 @@ def test_lint_follows_aliases_reexports_and_attributes(tmp_path):
     assert (
         "repro/core/propagate.py: allowlisted "
         "repro.afsa.kernel.k_difference is not imported any more"
+    ) in failures
+
+
+def test_lint_catches_every_validated_construction(tmp_path):
+    """Every way of calling the validating constructor outside an
+    allowlisted function is caught; materializing a kernel is not."""
+    src = _tree(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "afsa/__init__.py": (
+                "from repro.afsa.automaton import AFSA\n"
+                "from repro.afsa.kernel import materialize\n"
+            ),
+            "afsa/automaton.py": (
+                "class AFSA:\n"
+                "    def copy(self):\n"
+                "        return AFSA()\n"
+                "class AFSABuilder:\n"
+                "    def build(self):\n"
+                "        return AFSA()\n"
+            ),
+            "afsa/kernel.py": "def materialize(kernel): pass\n",
+            "core/__init__.py": "",
+            "core/direct.py": (
+                "from repro.afsa.automaton import AFSA as Automaton\n"
+                "def direct():\n"
+                "    return Automaton()\n"
+            ),
+            "core/reexport.py": (
+                "from repro.afsa import AFSA\n"
+                "class Holder:\n"
+                "    def method(self):\n"
+                "        return AFSA()\n"
+            ),
+            "core/relative.py": (
+                "from ..afsa.automaton import AFSA\n"
+                "VALUE = AFSA()\n"
+            ),
+            "core/attribute.py": (
+                "import repro.afsa.automaton\n"
+                "from repro.afsa import automaton\n"
+                "def attribute():\n"
+                "    automaton.AFSA()\n"
+                "    return repro.afsa.automaton.AFSA()\n"
+            ),
+            "core/trusted.py": (
+                "from repro.afsa import materialize\n"
+                "def trusted(kernel):\n"
+                "    return materialize(kernel)\n"
+            ),
+        },
+    )
+    failures = "\n".join(check(src))
+    for site, scope in (
+        ("afsa/automaton.py:3", "AFSA.copy"),
+        ("core/direct.py:3", "direct"),
+        ("core/reexport.py:4", "Holder.method"),
+        ("core/relative.py:2", "<module>"),
+        ("core/attribute.py:4", "attribute"),
+        ("core/attribute.py:5", "attribute"),
+    ):
+        assert f"repro/{site}: builds a validated AFSA in {scope}" in failures
+    assert "AFSABuilder.build (" not in failures
+    assert "trusted" not in failures
+    # The allowlist is exact: a site that builds nothing is stale.
+    assert (
+        "repro/afsa/serialize.py::afsa_from_dict: allowlisted "
+        "construction site does not build a validated AFSA any more"
     ) in failures

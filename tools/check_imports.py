@@ -1,25 +1,39 @@
 #!/usr/bin/env python3
-"""Import lint: eager products and differences stay at construction sites.
+"""Import lint: eager automata are built only where they belong.
 
-Classification and consistency paths answer emptiness questions with
-the lazy engine (``repro.afsa.lazy``, ``k_language_included``); they
-never materialize an eager product or difference automaton.  This lint
-enforces that boundary by *import*, not by name: it parses every module
-of ``src/repro`` outside the ``repro.afsa`` package and fails when one
-imports a forbidden constructor —
+Two boundaries, both checked on the AST of every module of
+``src/repro``:
 
-* ``repro.afsa.product.intersect`` and ``repro.afsa.difference.difference``
-  (the public operators),
-* ``repro.afsa.kernel.k_intersect`` and ``repro.afsa.kernel.k_difference``
-  (the kernel constructions behind them)
+1. **Eager products and differences stay at construction sites.**
+   Classification and consistency paths answer emptiness questions
+   with the lazy engine (``repro.afsa.lazy``, ``k_language_included``);
+   they never materialize an eager product or difference automaton.
+   Every module outside the ``repro.afsa`` package fails when it
+   imports a forbidden constructor —
 
-— however it is reached: ``from … import`` (aliased, relative, or via a
-package that re-exports the name, such as ``repro.afsa``), or an
-attribute of an imported module (``import repro.afsa.product as p`` then
-``p.intersect``).  :data:`ALLOWED` names the construction sites: each
-may import the constructors listed for it, for the stated reason, and
-an allowlisted import that is gone is reported too, so the list stays
-exact.
+   * ``repro.afsa.product.intersect`` and
+     ``repro.afsa.difference.difference`` (the public operators),
+   * ``repro.afsa.kernel.k_intersect`` and
+     ``repro.afsa.kernel.k_difference`` (the kernel constructions
+     behind them)
+
+   — however it is reached: ``from … import`` (aliased, relative, or
+   via a package that re-exports the name, such as ``repro.afsa``), or
+   an attribute of an imported module (``import repro.afsa.product as
+   p`` then ``p.intersect``).  :data:`ALLOWED` names the construction
+   sites: each may import the constructors listed for it, for the
+   stated reason.
+
+2. **A validated ``AFSA(...)`` is built only at input boundaries.**
+   The validating constructor normalizes and re-checks everything it
+   is given; automata derived on the kernel are materialized through
+   ``repro.afsa.kernel.materialize`` (the trusted path) instead.  Every
+   call of ``repro.afsa.automaton.AFSA`` — by any imported name,
+   module attribute, or the class's own name in its module — must sit
+   in a function listed in :data:`CONSTRUCTION_SITES` with its reason.
+
+An allowlisted import or construction that is gone is reported too, so
+both lists stay exact.
 
 Used by CI and mirrored by ``tests/test_import_lint.py``.
 
@@ -63,6 +77,37 @@ ALLOWED = {
 
 #: The package whose modules define and may freely use the operators.
 EXEMPT_PACKAGE = "afsa"
+
+#: The validating constructor, as (defining module, name).
+VALIDATING = ("repro.afsa.automaton", "AFSA")
+
+#: Functions (``module::qualified name``, module relative to the
+#: ``repro`` package) that may call the validating constructor, with
+#: the reason each one is an input boundary.
+CONSTRUCTION_SITES = {
+    "afsa/serialize.py::afsa_from_dict": (
+        "JSON input: partner-exchange documents, CLI files and service "
+        "payloads are untrusted and must be validated"
+    ),
+    "afsa/automaton.py::AFSABuilder.build": (
+        "the builder is the input boundary for incrementally assembled "
+        "automata (the compiler's raw automaton, figures, tests)"
+    ),
+    "afsa/automaton.py::AFSA.trimmed": (
+        "public rebuild helper on a caller-supplied automaton; not on "
+        "any compile, projection or serving path"
+    ),
+    "afsa/automaton.py::AFSA.relabel_states": (
+        "public renaming helper for rendering caller-supplied "
+        "automata; not on any compile, projection or serving path"
+    ),
+    "workload/generator.py::random_afsa": (
+        "workload generator: synthesizes fresh random automata"
+    ),
+    "workload/generator.py::random_annotated_afsa": (
+        "workload generator: synthesizes fresh random automata"
+    ),
+}
 
 
 class _Resolver:
@@ -133,43 +178,97 @@ def absolute_module(module: str, path: Path, node: ast.ImportFrom) -> str:
     return ".".join(package + ([node.module] if node.module else []))
 
 
+class _Imports:
+    """What the names of one parsed module refer to: every ``from …
+    import`` binding resolved to its defining site, and every module
+    alias usable in attribute chains."""
+
+    def __init__(self, tree, module: str, path: Path, resolver: _Resolver):
+        self.resolver = resolver
+        #: ``(line, bound name, origin)`` per ``from … import`` binding.
+        self.bindings: list = []
+        self.module_aliases: dict = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = absolute_module(module, path, node)
+                for alias in node.names:
+                    origin = resolver.origin(source, alias.name)
+                    bound = alias.asname or alias.name
+                    self.bindings.append((node.lineno, bound, origin))
+                    if origin[1] is None:
+                        self.module_aliases[bound] = origin[0]
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        self.module_aliases[alias.asname] = alias.name
+                    else:
+                        top = alias.name.split(".")[0]
+                        self.module_aliases[top] = top
+
+    def attribute_origin(self, node: ast.Attribute) -> tuple | None:
+        """The defining site of ``alias.….name``, or None when the
+        chain does not start at a module alias."""
+        dotted = _dotted(node.value)
+        if dotted is None:
+            return None
+        head, _, rest = dotted.partition(".")
+        if head not in self.module_aliases:
+            return None
+        target = self.module_aliases[head] + ("." + rest if rest else "")
+        return target, node.attr, self.resolver.origin(target, node.attr)
+
+
 def violations(path: Path, module: str, resolver: _Resolver) -> list:
     """``(line, text)`` of every forbidden import in one module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found: list = []
-    module_aliases: dict = {}
-
-    def flag(node, source, name):
-        found.append((node.lineno, f"{source}.{name}"))
-
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            source = absolute_module(module, path, node)
-            for alias in node.names:
-                origin = resolver.origin(source, alias.name)
-                if origin in FORBIDDEN:
-                    flag(node, *origin)
-                elif origin[1] is None:
-                    module_aliases[alias.asname or alias.name] = origin[0]
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    module_aliases[alias.asname] = alias.name
-                else:
-                    top = alias.name.split(".")[0]
-                    module_aliases[top] = top
+    imports = _Imports(tree, module, path, resolver)
+    found = [
+        (lineno, f"{origin[0]}.{origin[1]}")
+        for lineno, _, origin in imports.bindings
+        if origin in FORBIDDEN
+    ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            dotted = _dotted(node.value)
-            if dotted is None:
-                continue
-            head, _, rest = dotted.partition(".")
-            if head not in module_aliases:
-                continue
-            target = module_aliases[head] + ("." + rest if rest else "")
-            if resolver.origin(target, node.attr) in FORBIDDEN:
-                flag(node, target, node.attr)
+            resolved = imports.attribute_origin(node)
+            if resolved is not None and resolved[2] in FORBIDDEN:
+                found.append((node.lineno, f"{resolved[0]}.{resolved[1]}"))
     return sorted(set(found))
+
+
+def constructions(path: Path, module: str, resolver: _Resolver) -> list:
+    """``(line, qualified function name)`` of every call of the
+    validating ``AFSA`` constructor in one module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imports = _Imports(tree, module, path, resolver)
+    names = {
+        bound for _, bound, origin in imports.bindings if origin == VALIDATING
+    }
+    if module == VALIDATING[0]:
+        names.add(VALIDATING[1])
+
+    def validating(func) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id in names
+        if isinstance(func, ast.Attribute):
+            resolved = imports.attribute_origin(func)
+            return resolved is not None and resolved[2] == VALIDATING
+        return False
+
+    found: list = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and validating(child.func):
+                found.append((child.lineno, ".".join(scope) or "<module>"))
+            visit(child, scope)
+
+    visit(tree, ())
+    return sorted(found)
 
 
 def _dotted(node) -> str | None:
@@ -190,14 +289,25 @@ def check(root: Path) -> list:
     resolver = _Resolver(root)
     failures: list = []
     used: set = set()
+    built: set = set()
     for path in sorted(root.rglob("*.py")):
         relative = path.relative_to(root)
-        if relative.parts[0] == EXEMPT_PACKAGE:
-            continue
         module = ".".join((root.name, *relative.with_suffix("").parts))
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
         key = relative.as_posix()
+        for lineno, scope in constructions(path, module, resolver):
+            site = f"{key}::{scope}"
+            if site in CONSTRUCTION_SITES:
+                built.add(site)
+                continue
+            failures.append(
+                f"{root.name}/{key}:{lineno}: builds a validated AFSA in "
+                f"{scope} (only input boundaries validate; materialize "
+                "kernel results with repro.afsa.kernel.materialize)"
+            )
+        if relative.parts[0] == EXEMPT_PACKAGE:
+            continue
         allowed = ALLOWED.get(key, (set(), ""))[0]
         for lineno, name in violations(path, module, resolver):
             if name in allowed:
@@ -209,6 +319,12 @@ def check(root: Path) -> list:
                 "materialize a product or a difference; use "
                 "repro.afsa.lazy / k_language_included)"
             )
+    for site in sorted(set(CONSTRUCTION_SITES) - built):
+        failures.append(
+            f"{root.name}/{site}: allowlisted construction site does "
+            "not build a validated AFSA any more; drop it from "
+            "CONSTRUCTION_SITES"
+        )
     for key, (names, _) in sorted(ALLOWED.items()):
         for name in sorted(names):
             if (key, name) not in used:
