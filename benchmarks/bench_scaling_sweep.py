@@ -7,7 +7,7 @@ Two axes:
   :func:`repro.core.sweep.sweep_choreography` (shared view memos, one
   fixpoint per pair, witnesses only on failure);
 * **pair grid fan-out** — a grid of heavyweight random aFSA pairs
-  dispatched serially and across ``multiprocessing`` workers.
+  dispatched serially and across forked shard workers.
   Verdicts are asserted identical across worker counts inside the
   bench, so the JSON doubles as a determinism record.
 
@@ -71,7 +71,7 @@ def _grid():
 
 @pytest.mark.parametrize("workers", [0, 2, 4])
 def test_scaling_pair_grid(benchmark, workers):
-    """Heavy pair grid, serial vs. multiprocessing fan-out.
+    """Heavy pair grid, serial vs. fan-out to forked shards.
 
     The fanned-out rows dispatch through a *throwaway* runtime per
     measured call (fresh pool, fresh worker caches) — with the PR-5

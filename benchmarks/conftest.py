@@ -102,16 +102,11 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
 
 @pytest.fixture(autouse=True)
 def no_leaked_shared_memory():
-    """Fail any bench that leaks a shared-memory segment (segments of
-    live runtimes — including the persistent default — are owned, not
-    leaked; the accounting is shared with the tests fixture via
-    :func:`repro.core.runtime.leaked_segments`)."""
-    from repro.core.runtime import leaked_segments, shm_segments
+    """Fail any bench that leaves a new ``psm_*`` shared-memory
+    segment behind: the runtime creates none at all."""
+    from repro.core.runtime import shm_segments
 
     before = shm_segments()
     yield
-    leaked = leaked_segments(before)
-    assert not leaked, (
-        f"leaked shared_memory segment(s): {sorted(leaked)} — "
-        f"arena cleanup contract violated"
-    )
+    leaked = shm_segments() - before
+    assert not leaked, f"new shared-memory segment(s): {sorted(leaked)}"

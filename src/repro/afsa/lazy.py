@@ -718,7 +718,7 @@ def note_lineage(old: Kernel, new: Kernel) -> None:
         return
     # The original *old* kernel rides along: cross-process consumers
     # (the sweep fan-out) must ship the ancestor under the same arena
-    # segment the pre-evolution sweep published — the original grid
+    # digest the pre-evolution sweep published — the original grid
     # kernel, not its ε-free reduction — or the workers' retained
     # explorations (keyed on ε-free forms of *their* attached
     # originals) would never match.
@@ -734,11 +734,11 @@ def lineage_of(kernel: Kernel) -> Kernel | None:
     None.
 
     Consumers that re-establish lineage in another address space — the
-    sweep fan-out ships (old, new) arena segment pairs so persistent
+    sweep fan-out ships (old, new) arena digest pairs so persistent
     workers can seed from their *own* retained explorations — read the
     registry through this accessor: shipping the original keeps the
-    segment name identical to what the pre-evolution sweep published,
-    so the worker's attach memo resolves to the very kernel object its
+    digest identical to what the pre-evolution sweep published, so the
+    worker's kernel memo resolves to the very kernel object its
     exploration is keyed on.
     """
     entry = _LINEAGE.get(id(k_remove_epsilon(kernel)))

@@ -92,7 +92,7 @@ def afsa_from_json(text: str) -> AFSA:
 
 
 def kernel_to_wire(kernel: Kernel) -> tuple:
-    """Pack *kernel* into the dense multiprocessing wire format.
+    """Pack *kernel* into the dense wire format shards receive.
 
     The sweep and migration engines used to re-serialize operands to
     the partner-exchange JSON for every worker payload, and workers
@@ -168,29 +168,21 @@ def kernel_from_wire(wire: tuple) -> Kernel:
 
 
 def kernel_to_payload(kernel: Kernel) -> bytes:
-    """Pack *kernel* for a shared-memory segment: the dense wire tuple
-    pickled behind an 8-byte length header.
-
-    The header matters because :mod:`multiprocessing.shared_memory`
-    rounds segment sizes up to the page size — readers must know where
-    the payload ends without trusting the mapping length.
-    """
-    body = pickle.dumps(
+    """Pack *kernel* as the bytes the arena publishes and shards fetch:
+    the dense wire tuple, pickled."""
+    return pickle.dumps(
         kernel_to_wire(kernel), protocol=pickle.HIGHEST_PROTOCOL
     )
-    return len(body).to_bytes(8, "little") + body
 
 
-def kernel_from_payload(buf) -> Kernel:
-    """Rebuild a kernel from a :func:`kernel_to_payload` buffer (bytes
-    or a shared-memory ``memoryview``)."""
-    size = int.from_bytes(bytes(buf[:8]), "little")
-    return kernel_from_wire(pickle.loads(bytes(buf[8 : 8 + size])))
+def kernel_from_payload(payload: bytes) -> Kernel:
+    """Rebuild a kernel from :func:`kernel_to_payload` bytes."""
+    return kernel_from_wire(pickle.loads(payload))
 
 
-def payload_digest(payload) -> str:
+def payload_digest(payload: bytes) -> str:
     """Content address of a kernel payload: blake2b over the exact
-    wire bytes (header included).
+    payload bytes.
 
     Digest equality is the distributed cache-correctness contract —
     the arena dedups publishes by it, the rendezvous router hashes it,
@@ -199,7 +191,7 @@ def payload_digest(payload) -> str:
     canonicalizing every set-shaped field; this function just hashes
     the resulting bytes.
     """
-    return hashlib.blake2b(bytes(payload), digest_size=16).hexdigest()
+    return hashlib.blake2b(payload, digest_size=16).hexdigest()
 
 
 def kernel_digest(kernel: Kernel) -> str:

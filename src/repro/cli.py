@@ -577,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=["mp", "tcp"],
         default="mp",
-        help="worker transport: forked multiprocessing shards "
-        "(default) or remote TCP shard workers (--shard)",
+        help="where shards live: forked local shards (default) or "
+        "remote TCP shard workers (--shard)",
     )
     sweep_cmd.add_argument(
         "--shard",

@@ -11,7 +11,7 @@
   suggestions (receive → pick, loop unfolding);
 * :mod:`.choreography` — the multi-party choreography container with
   bilateral and decentralized consistency checking;
-* :mod:`.sweep` — the batched (optionally multiprocessing) consistency
+* :mod:`.sweep` — the batched (optionally fanned-out) consistency
   sweep engine behind every pairwise check;
 * :mod:`.engine` — the Fig. 4 evolution loop tying everything together.
 """

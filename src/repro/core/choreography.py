@@ -181,7 +181,7 @@ class Choreography:
             and previous_anchor is not old_compiled.afsa
         ):
             # The n-2 version just lost its last pin: drop its
-            # shared-memory segment from the default arena (the same
+            # entry from the default arena (the same
             # moment the verdict cache and view memo lose it to
             # reachability — compile eviction, extended to the arena).
             from repro.core.runtime import discard_kernel
@@ -320,7 +320,7 @@ class Choreography:
         report carries are streamed from the same retained
         explorations (:func:`repro.afsa.witness.lazy_pair_witness`)
         and cached per pair, and ``workers > 1`` fans the grid out
-        over a process pool without changing any verdict.
+        over forked shards without changing any verdict.
         """
         sweep = sweep_choreography(
             self, witnesses=WITNESS_ALL, workers=workers

@@ -1,32 +1,26 @@
-"""The persistent evolution runtime: kernel arena + long-lived pool.
+"""The persistent evolution runtime: kernel arena + long-lived shards.
 
 The paper's evolution loop is *session-shaped* — a choreography evolves
 through versions v1 → v2 → v3 while consistency sweeps and instance
-migrations repeatedly re-examine near-identical models — but until this
-module the execution layer was *call-shaped*: every sweep/migration
-spawned a fresh ``multiprocessing.Pool``, re-shipped kernel payloads
-per chunk, and started each worker with a cold
-:class:`~repro.afsa.lazy.PairVerdictCache`.  The runtime turns the
-fan-out layer into a long-lived artifact that amortizes across an
-entire evolution session:
+migrations repeatedly re-examine near-identical models — so the
+fan-out layer is a long-lived artifact that amortizes across an entire
+evolution session:
 
 * **content-addressed kernel arena** — :class:`KernelArena` publishes
-  interned kernels *once* into :mod:`multiprocessing.shared_memory`
-  segments (the dense wire tuple of
-  :func:`~repro.afsa.serialize.kernel_to_wire`, pickled behind a length
-  header) and names every entry by the blake2b digest of those exact
-  payload bytes (:func:`~repro.afsa.serialize.payload_digest`).  The
-  digest — not the process-local segment name — is the identity that
-  crosses process boundaries: publishes dedup by digest (two kernel
-  objects with identical bytes share one segment), chunk payloads carry
-  ``(digest, locator)`` references, and workers memoize rebuilt kernels
-  by digest, so a kernel that is evicted and republished under a fresh
-  segment name still hits every warm worker cache.  The arena is a
-  bounded LRU with pin counts: entries referenced by an in-flight
-  dispatch can never be evicted, evicted segments are unlinked
-  immediately, and a kernel needed again after eviction is
-  transparently republished — same digest, same worker memo hit.
-* **rendezvous-routed worker pool** — :class:`EvolutionRuntime` owns a
+  interned kernels *once*: it keeps the payload bytes of
+  :func:`~repro.afsa.serialize.kernel_to_payload` (the pickled dense
+  wire tuple) and names every entry by the blake2b digest of those
+  bytes (:func:`~repro.afsa.serialize.payload_digest`).  The digest is
+  the identity that crosses process boundaries: publishes dedup by
+  digest (two kernel objects with identical bytes share one entry),
+  chunk payloads carry digests only, and workers memoize rebuilt
+  kernels by digest, fetching a payload over their own connection the
+  first time they meet it.  The arena is a bounded LRU with pin
+  counts: entries referenced by an in-flight dispatch are never
+  evicted, so their payloads stay fetchable for the whole dispatch,
+  and a kernel needed again after eviction is transparently
+  republished — same digest, same worker memo hit.
+* **rendezvous-routed shards** — :class:`EvolutionRuntime` owns a
   lazily started, reusable shard fleet and routes work to shards by
   rendezvous hashing on content digests (:mod:`repro.core.routing`),
   so a repeated *or evolved* grid keeps landing every pair on the shard
@@ -35,26 +29,20 @@ entire evolution session:
   overflows past the load cap to the next rendezvous candidate.  Every
   fan-out — sweeps and fleet migration alike — goes through the one
   pipelined scheduler, :meth:`EvolutionRuntime.map_streaming`.
-* **pluggable transport** — shards are either local single-process
-  ``multiprocessing`` pools (the default) or remote workers reached
-  over the length-prefixed TCP protocol of
-  :mod:`repro.core.transport` (``transport="tcp"``, addresses from
-  ``repro shard-worker --listen``).  TCP chunks ship digests only;
-  workers fetch missing payloads over the same connection
-  (fetch-on-miss), so a repeated sweep ships **zero** kernel payload
-  bytes on any transport.
+* **one shard abstraction** — every shard is a
+  :class:`~repro.core.transport.Shard`: a connected socket speaking
+  the frame protocol of :mod:`repro.core.transport`.  The transport
+  only says where shards live: forked children of this process (the
+  default) or remote workers (``transport="tcp"``, addresses from
+  ``repro shard-worker --listen``).  A shard whose connection ends
+  fails its pending attempts at once; the scheduler re-sends them to
+  the next rendezvous candidate, and the next dispatch re-forks a dead
+  local shard in its own slot.
 
 The process-wide default runtime (:func:`get_runtime`) is what
 :mod:`repro.core.sweep` and :mod:`repro.instances.migrate` route their
 fan-out through when no explicit runtime is given; it is shut down via
-``atexit`` and its segments are tracked so the test-suite leak guard
-can tell a live arena from a leak.
-
-Workers attach segments *untracked* (``track=False`` on Python ≥ 3.13,
-an explicit ``resource_tracker.unregister`` before): the parent process
-is the sole owner of every segment's lifetime, which keeps the
-``resource_tracker`` from double-accounting attachments and guarantees
-no "leaked shared_memory objects" warnings on clean shutdown.
+``atexit``.
 """
 
 from __future__ import annotations
@@ -64,9 +52,7 @@ import os
 import queue
 import threading
 import time
-import weakref
 from collections import OrderedDict, deque
-from multiprocessing import get_context, shared_memory
 
 from repro.afsa.kernel import Kernel
 from repro.afsa.serialize import (
@@ -75,30 +61,7 @@ from repro.afsa.serialize import (
     payload_digest,
 )
 from repro.core.routing import rendezvous_rank, route
-
-
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without registering it with the
-    ``resource_tracker`` (the publishing process owns the segment).
-
-    Python < 3.13 has no ``track=False``: attaching registers
-    unconditionally, and with forked workers sharing the parent's
-    tracker an attach/unregister pair per worker would race other
-    workers (and delete the parent's own registration).  Suppressing
-    the register call for the duration of the attach is the only
-    sequence that leaves the tracker exactly as the parent set it up.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no ``track`` parameter
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
+from repro.core.transport import Shard, ShardLostError
 
 
 # -- worker-side kernel resolution ---------------------------------------------
@@ -106,62 +69,49 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 #: Per-worker kernel memo: content digest -> rebuilt Kernel.  Memoized
 #: kernels keep their derived facts (good set, replay trie, verdict
 #: cache entries) alive across dispatches — the whole point of the
-#: persistent pool.  Keyed by digest, the memo survives arena eviction
-#: + republish (the segment name changes, the content does not) and is
-#: transport-agnostic.  Bounded so an extremely long session with many
-#: distinct kernels cannot grow a worker without limit.
+#: persistent shards.  Keyed by digest, the memo survives arena
+#: eviction + republish and is transport-agnostic.  Bounded so an
+#: extremely long session with many distinct kernels cannot grow a
+#: worker without limit.
 _WORKER_KERNELS: OrderedDict = OrderedDict()
 _WORKER_KERNELS_MAX = 128
 
-#: TCP fetch-on-miss hook: the transport's worker loop installs a
-#: callable ``digest -> payload bytes`` around each task so
-#: :func:`kernel_for` can pull payloads it has no local source for
-#: over the task's own connection.  Thread-local because each
-#: connection is served by its own thread — a fetch must go out over
-#: the very socket whose task triggered it, never a sibling's (the
-#: in-process shard servers the tests run make that a live hazard).
+#: Fetch-on-miss hook: the worker loop installs a callable ``digest ->
+#: payload bytes`` around each task so :func:`kernel_for` can pull
+#: payloads it has not memoized over the task's own connection.
+#: Thread-local because each connection is served by its own thread —
+#: a fetch must go out over the very socket whose task triggered it,
+#: never a sibling's (the in-process shard servers the tests run make
+#: that a live hazard).
 _FETCH_HOOK = threading.local()
 
 
 def set_payload_fetcher(fetch):
     """Install the calling thread's fetch-on-miss hook; returns the
-    previous one so the transport loop can restore it (hooks are
+    previous one so the worker loop can restore it (hooks are
     per-task, not global state leaks)."""
     previous = getattr(_FETCH_HOOK, "fetch", None)
     _FETCH_HOOK.fetch = fetch
     return previous
 
 
-def kernel_for(ref) -> Kernel:
-    """Resolve a ``(digest, locator)`` kernel reference (memoized).
+def kernel_for(digest: str) -> Kernel:
+    """Resolve a kernel by content digest (memoized per worker).
 
-    The digest is the cross-process identity; the locator is the
-    transport-specific fast path — a shared-memory segment name for
-    forked workers, ``None`` for TCP workers, which fetch the payload
-    over their connection on a memo miss.  Segments are mapped, copied,
-    and closed immediately — workers never hold mappings between
-    dispatches, so the parent can unlink an evicted segment without
-    racing attached readers (pins guarantee no dispatch is in flight
-    when that happens).
+    A memo miss fetches the payload through the calling thread's
+    fetch-on-miss hook — over the connection of the task being served —
+    so every shard, forked or remote, receives a payload at most once
+    while it stays in the memo.
     """
-    digest, locator = ref
     kernel = _WORKER_KERNELS.get(digest)
     if kernel is None:
-        if locator is not None:
-            segment = _attach_segment(locator)
-            try:
-                kernel = kernel_from_payload(segment.buf)
-            finally:
-                segment.close()
-        else:
-            fetch = getattr(_FETCH_HOOK, "fetch", None)
-            if fetch is None:
-                raise RuntimeError(
-                    f"no payload source for kernel {digest!r}: "
-                    f"reference has no segment locator and no fetcher "
-                    f"is installed"
-                )
-            kernel = kernel_from_payload(fetch(digest))
+        fetch = getattr(_FETCH_HOOK, "fetch", None)
+        if fetch is None:
+            raise RuntimeError(
+                f"no payload source for kernel {digest!r}: no fetcher "
+                f"is installed"
+            )
+        kernel = kernel_from_payload(fetch(digest))
         kernel._digest = digest
         _WORKER_KERNELS[digest] = kernel
         while len(_WORKER_KERNELS) > _WORKER_KERNELS_MAX:
@@ -175,30 +125,29 @@ def kernel_for(ref) -> Kernel:
 
 
 class _ArenaEntry:
-    """One published content digest: its pinned segment, the kernel
+    """One published content digest: its payload bytes, the kernel
     objects sharing the digest, and bookkeeping."""
 
-    __slots__ = ("kernels", "segment", "name", "size", "pins", "doomed")
+    __slots__ = ("kernels", "payload", "pins", "doomed")
 
-    def __init__(self, kernel: Kernel, segment, size: int):
+    def __init__(self, kernel: Kernel, payload: bytes):
         #: id -> kernel strong refs: every object published under this
         #: digest.  Strong refs pin the ids, so identity-keyed callers
         #: (the verdict cache, ``discard``) can never see a recycled id.
         self.kernels = {id(kernel): kernel}
-        self.segment = segment
-        self.name = segment.name
-        self.size = size
+        self.payload = payload
         self.pins = 0
         self.doomed = False
 
 
 class KernelArena:
-    """Bounded shared-memory store of published kernels.
+    """Bounded store of published kernel payloads.
 
     Keyed on *content digest*: two kernel objects whose canonical wire
-    bytes are identical share one segment (``dedup_hits``), and the
+    bytes are identical share one entry (``dedup_hits``), and the
     digest — stable across eviction/republish and across processes —
-    is what routing, worker memos and chunk payloads carry.
+    is what routing, worker memos and chunk payloads carry; shards
+    fetch the bytes by digest (:meth:`payload_of`) on a memo miss.
     ``published`` / ``hits`` are running counters; consumers report
     their deltas per dispatch.
     """
@@ -213,6 +162,9 @@ class KernelArena:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, digest: str) -> bool:
+        return digest in self._entries
 
     def publish(self, kernel: Kernel, _pin: bool = False) -> str:
         """Return the content digest of *kernel*, publishing on miss."""
@@ -234,42 +186,30 @@ class KernelArena:
             return digest
         if payload is None:
             payload = kernel_to_payload(kernel)
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-        segment.buf[: len(payload)] = payload
-        entry = _ArenaEntry(kernel, segment, len(payload))
+        entry = _ArenaEntry(kernel, payload)
         self._entries[digest] = entry
         if _pin:
             # Pin *before* evicting: a dispatch pinning more kernels
-            # than maxsize must never lose (or be handed a dangling
-            # reference for) the entry it just published.
+            # than maxsize must never lose the entry it just published.
             entry.pins += 1
         self.published += 1
         self.published_bytes += len(payload)
         self._evict(keep=digest)
         return digest
 
-    def locator(self, digest: str) -> str | None:
-        """The shared-memory segment name currently backing *digest*
-        (None when the digest is not published — TCP references are
-        built with None deliberately)."""
-        entry = self._entries.get(digest)
-        return entry.name if entry is not None else None
-
     def payload_of(self, digest: str) -> bytes:
         """The exact payload bytes published under *digest* (the blob
-        served to TCP workers on fetch-on-miss)."""
+        served to a shard on fetch-on-miss)."""
         entry = self._entries.get(digest)
         if entry is None:
             raise KeyError(digest)
-        return bytes(entry.segment.buf[: entry.size])
+        return entry.payload
 
     def pin(self, kernels) -> list[str]:
         """Publish *kernels* and pin them against eviction; returns the
         content digests in input order.  Exception-safe: if any publish
-        fails (e.g. shared memory exhausted), the kernels pinned so far
-        are unpinned again before the error propagates."""
+        fails, the kernels pinned so far are unpinned again before the
+        error propagates."""
         digests = []
         pinned = []
         try:
@@ -282,7 +222,7 @@ class KernelArena:
         return digests
 
     def unpin(self, kernels) -> None:
-        """Release a :meth:`pin`; doomed entries are unlinked once the
+        """Release a :meth:`pin`; doomed entries are dropped once the
         last pin drops."""
         for kernel in kernels:
             digest = kernel._digest
@@ -294,15 +234,15 @@ class KernelArena:
             # dispatch was in flight — the pin is on the *entry*.
             entry.pins -= 1
             if entry.doomed and entry.pins <= 0:
-                self._drop(digest)
+                del self._entries[digest]
 
     def discard(self, kernel) -> None:
         """Unpublish *kernel* (e.g. its process version was replaced).
 
-        With content addressing, the segment only goes when the *last*
+        With content addressing, the entry only goes when the *last*
         kernel object published under its digest is discarded — an
         alias that deduped onto the entry keeps it alive.  Pinned
-        entries are only marked; the segment survives until the
+        entries are only marked; the entry survives until the
         in-flight dispatch unpins it.  Discarding an unpublished kernel
         is a no-op, so callers can fire-and-forget on eviction hooks.
         """
@@ -318,16 +258,11 @@ class KernelArena:
         if entry.pins > 0:
             entry.doomed = True
         else:
-            self._drop(digest)
-
-    def segment_names(self) -> set[str]:
-        """Names of all currently published segments (leak guard)."""
-        return {entry.name for entry in self._entries.values()}
+            del self._entries[digest]
 
     def close(self) -> None:
-        """Unlink every segment (the arena is empty afterwards)."""
-        for digest in list(self._entries):
-            self._drop(digest)
+        """Drop every entry (the arena is empty afterwards)."""
+        self._entries.clear()
 
     def _evict(self, keep=None) -> None:
         """Age out unpinned LRU entries past maxsize.  The *keep*
@@ -341,35 +276,16 @@ class KernelArena:
                 break
             if entry.pins > 0 or digest == keep:
                 continue
-            self._drop(digest)
-
-    def _drop(self, digest) -> None:
-        entry = self._entries.pop(digest)
-        entry.segment.close()
-        try:
-            entry.segment.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+            del self._entries[digest]
 
 
 # -- the runtime ---------------------------------------------------------------
 
-#: Live runtimes, tracked weakly so the leak-guard fixtures can tell
-#: segments owned by an active arena from genuinely leaked ones.
-_RUNTIMES: "weakref.WeakSet[EvolutionRuntime]" = weakref.WeakSet()
-
-
-def active_segment_names() -> set[str]:
-    """Segment names owned by any live runtime's arena."""
-    names: set[str] = set()
-    for runtime in list(_RUNTIMES):
-        names |= runtime.arena.segment_names()
-    return names
-
 
 def shm_segments() -> set[str]:
     """Python shared-memory segments currently visible on this host
-    (``psm_*`` entries of ``/dev/shm``; empty off Linux)."""
+    (``psm_*`` entries of ``/dev/shm``; empty off Linux).  The runtime
+    creates none; the leak guards assert that it stays that way."""
     try:
         return {
             name
@@ -380,15 +296,9 @@ def shm_segments() -> set[str]:
         return set()
 
 
-def leaked_segments(before: set[str]) -> set[str]:
-    """Segments that appeared since the *before* snapshot and are not
-    owned by any live runtime — the test-suite leak guard's verdict."""
-    owned = {name.lstrip("/") for name in active_segment_names()}
-    return shm_segments() - before - owned
-
-
-#: Transports: local forked single-process pools, or remote workers
-#: over the length-prefixed TCP protocol of :mod:`repro.core.transport`.
+#: Where shards live: forked children of this process, or remote
+#: workers reached over TCP.  Both speak the frame protocol of
+#: :mod:`repro.core.transport`.
 TRANSPORT_MP = "mp"
 TRANSPORT_TCP = "tcp"
 
@@ -419,10 +329,10 @@ def _injected_fault_delay(item_count: int) -> None:
     """Test-only straggler injection, a no-op in production.
 
     ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_item`` entries
-    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — stamped
-    into the environment by :meth:`EvolutionRuntime.ensure_pool` as it
-    forks each shard — matches a slot sleeps ``seconds_per_item ×
-    items`` before running its chunk.  Sweep and migration chunk
+    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — which a
+    forked shard sets for itself, and a remote worker inherits from
+    its launcher — matches a slot sleeps ``seconds_per_item × items``
+    before running its chunk.  Sweep and migration chunk
     workers both call it, so either fan-out can be given a straggler.
     """
     spec = os.environ.get("REPRO_SWEEP_FAULT")
@@ -438,31 +348,31 @@ def _injected_fault_delay(item_count: int) -> None:
 class _Chunk:
     """One micro-chunk in flight through :meth:`map_streaming`: its
     item indices, prebuilt payload, rendezvous candidate ranking for
-    speculation, and per-attempt bookkeeping."""
+    speculation and failover, and per-attempt bookkeeping."""
 
     __slots__ = (
-        "indices", "payload", "shard", "candidates",
-        "attempts", "outstanding", "done", "result", "error",
+        "indices", "payload", "candidates",
+        "attempts", "outstanding", "done", "result",
     )
 
-    def __init__(self, indices, payload, shard, candidates):
+    def __init__(self, indices, payload, candidates):
         self.indices = indices
         self.payload = payload
-        self.shard = shard
         self.candidates = candidates
-        #: (shard, monotonic start) per dispatch attempt, primary first.
+        #: (shard, monotonic start, speculative?) per dispatch attempt,
+        #: primary first.
         self.attempts: list = []
         self.outstanding = 0
         self.done = False
         self.result = None
-        self.error = None
 
 
 class EvolutionRuntime:
     """Shared fan-out runtime: one arena, one long-lived worker fleet.
 
-    Workers are *sharded*: each is its own single-process pool (or one
-    remote TCP worker), and every chunk reaches the shard that
+    Workers are *sharded*: each is one forked child or one remote TCP
+    worker behind a :class:`~repro.core.transport.Shard` handle, and
+    every chunk reaches the shard that
     rendezvous hashing assigns its content key — so worker-local caches
     pay off for repeated *and evolved* grids alike, because the mapping
     depends on what an item *is*, not where it sits in the dispatch.
@@ -509,6 +419,8 @@ class EvolutionRuntime:
         self.routing_spilled = 0
         self.payload_fetches = 0
         self.payload_fetch_bytes = 0
+        #: Shards' reader threads serve fetches concurrently.
+        self._fetch_lock = threading.Lock()
         self.chunks_dispatched = 0
         self.speculative_dispatches = 0
         self.speculative_wins = 0
@@ -531,7 +443,6 @@ class EvolutionRuntime:
         #: fleet's processes are new.
         self.shard_pair_ewma: dict = {}
         self._closed = False
-        _RUNTIMES.add(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -553,65 +464,74 @@ class EvolutionRuntime:
         runtime's configured default; otherwise
         :func:`default_worker_count` — the machine's CPU count, capped
         — **never** the chunk count of whatever dispatch happened to
-        arrive first.  The TCP fleet is fixed by the configured
-        addresses: every shard is connected on first use and *workers*
-        only caps how many dispatches fan out.  Each forked shard
-        inherits its slot index via the ``REPRO_SHARD_SLOT``
-        environment variable (:func:`_injected_fault_delay` keys on
-        it)."""
+        arrive first.  A local shard that died is re-forked in its own
+        slot, so rendezvous ranks do not move.  The TCP fleet is fixed
+        by the configured addresses: every shard is connected on first
+        use, a closed one stays closed until :meth:`restart_pool`, and
+        *workers* only caps how many dispatches fan out."""
         if self._closed:
             raise RuntimeError("runtime is shut down")
         if self.transport == TRANSPORT_TCP:
             if not self._shards:
-                from repro.core.transport import TcpShard
-
-                self._shards = [
-                    TcpShard(
-                        address,
-                        blob_of=self.arena.payload_of,
-                        on_fetch=self._count_fetch,
-                    )
-                    for address in self.shard_addresses
-                ]
+                shards = []
+                try:
+                    for address in self.shard_addresses:
+                        shards.append(Shard.connect(
+                            address, self.arena.payload_of,
+                            self._count_fetch,
+                        ))
+                except BaseException:
+                    # A remote shard serves one parent at a time: keep
+                    # no connection of a fleet that failed to start.
+                    for shard in shards:
+                        shard.close()
+                    raise
+                self._shards = shards
                 self.pool_starts += 1
             return
         needed = max(1, workers or self.workers or default_worker_count())
-        if len(self._shards) < needed:
-            context = get_context()
-            while len(self._shards) < needed:
-                os.environ["REPRO_SHARD_SLOT"] = str(len(self._shards))
-                try:
-                    self._shards.append(context.Pool(1))
-                finally:
-                    os.environ.pop("REPRO_SHARD_SLOT", None)
-            self.pool_starts += 1
+        dead = [
+            slot for slot, shard in enumerate(self._shards)
+            if not shard.connected
+        ]
+        if not dead and len(self._shards) >= needed:
+            return
+        for slot in dead:
+            self._shards[slot].close()
+            self.shard_pair_ewma.pop(slot, None)
+            self._shards[slot] = self._fork(slot)
+        while len(self._shards) < needed:
+            self._shards.append(self._fork(len(self._shards)))
+        self.pool_starts += 1
+
+    def _fork(self, slot: int) -> Shard:
+        return Shard.fork(slot, self.arena.payload_of, self._count_fetch)
 
     def restart_pool(self) -> None:
-        """Recycle the worker connections/processes (arena untouched).
-        The next dispatch starts fresh shards whose caches are cold —
-        for TCP shards only the *connections* recycle; remote worker
-        processes (and their caches) belong to whoever launched them."""
+        """Recycle the shards (arena untouched).  The next dispatch
+        starts fresh shards whose caches are cold — for TCP shards
+        only the *connections* recycle; remote worker processes (and
+        their caches) belong to whoever launched them."""
         self._stop_pool()
 
     def shutdown(self) -> None:
-        """Stop the workers and unlink every arena segment."""
+        """Stop the shards and empty the arena."""
         self._stop_pool()
         self.arena.close()
         self._closed = True
 
     def _stop_pool(self) -> None:
         for shard in self._shards:
-            shard.terminate()
-        for shard in self._shards:
-            shard.join()
+            shard.close()
         self._shards = []
         self.shard_pair_ewma.clear()
 
     def _count_fetch(self, nbytes: int) -> None:
-        """Transport callback: one fetch-on-miss served, *nbytes* of
-        payload shipped to a TCP worker."""
-        self.payload_fetches += 1
-        self.payload_fetch_bytes += nbytes
+        """Shard callback: one fetch-on-miss served, *nbytes* of
+        payload shipped to a worker."""
+        with self._fetch_lock:
+            self.payload_fetches += 1
+            self.payload_fetch_bytes += nbytes
 
     # -- dispatch ----------------------------------------------------------
 
@@ -619,14 +539,6 @@ class EvolutionRuntime:
         """Context manager pinning *kernels* in the arena for the
         duration of a dispatch; yields their content digests."""
         return _Published(self, list(kernels))
-
-    def ref_of(self, digest: str):
-        """The ``(digest, locator)`` reference workers resolve through
-        :func:`kernel_for`: shared-memory locators for forked workers,
-        digest-only (fetch-on-miss) for TCP workers."""
-        if self.transport == TRANSPORT_TCP:
-            return (digest, None)
-        return (digest, self.arena.locator(digest))
 
     def map_chunked(self, func, items, payload_of, workers: int, key_of):
         """Fan *items* out and reassemble the results in input order.
@@ -744,10 +656,19 @@ class EvolutionRuntime:
           exceeds the same threshold), so warm-affinity placement is
           never churned on a healthy fleet.
 
+        A lost attempt — its shard's connection ended — is a failed
+        attempt: once a chunk has no attempt left outstanding, it is
+        re-sent to its next untried rendezvous candidate that is still
+        connected, and only a chunk with no such candidate raises
+        (:class:`~repro.core.transport.ShardLostError`, a
+        :class:`~repro.core.transport.RemoteTaskError`).  A task that
+        raised inside the worker propagates as a plain
+        :class:`~repro.core.transport.RemoteTaskError`.
+
         Closing the generator (fail-fast consumers) counts the
         never-dispatched chunks as cancelled and drains every
         outstanding attempt before returning, so no in-flight state —
-        pool tasks, TCP frames, arena pins — outlives the dispatch.
+        task frames, arena pins — outlives the dispatch.
         *info*, when given, is filled with routing placement and the
         dispatch-local scheduler counters.
         """
@@ -794,7 +715,6 @@ class EvolutionRuntime:
                 chunk = _Chunk(
                     indices=part,
                     payload=payload_of([items[index] for index in part]),
-                    shard=shard,
                     candidates=rendezvous_rank(keys[part[0]], pool_size),
                 )
                 queued[shard].append(chunk)
@@ -813,11 +733,13 @@ class EvolutionRuntime:
         active: dict = {}
         high_water = 0
 
-        def dispatch(chunk: _Chunk, shard: int) -> None:
+        def dispatch(
+            chunk: _Chunk, shard: int, speculative: bool = False
+        ) -> None:
             nonlocal outstanding, high_water
             attempt = len(chunk.attempts)
             started = time.monotonic()
-            chunk.attempts.append((shard, started))
+            chunk.attempts.append((shard, started, speculative))
             chunk.outstanding += 1
             shard_busy[shard][(id(chunk), attempt)] = started
             shard_inflight[shard] += 1
@@ -827,14 +749,11 @@ class EvolutionRuntime:
             self.inflight_high_water = max(
                 self.inflight_high_water, self.inflight
             )
-            self._shards[shard].apply_async(
+            self._shards[shard].submit(
                 func,
-                (chunk.payload,),
-                callback=lambda value, c=chunk, s=shard, a=attempt: (
-                    completions.put((c, s, a, value, None))
-                ),
-                error_callback=lambda error, c=chunk, s=shard, a=attempt: (
-                    completions.put((c, s, a, None, error))
+                chunk.payload,
+                lambda value, error, c=chunk, s=shard, a=attempt: (
+                    completions.put((c, s, a, value, error))
                 ),
             )
 
@@ -890,14 +809,29 @@ class EvolutionRuntime:
             info["stolen"] += 1
             return queued[victim].pop()
 
+        def untried(chunk: _Chunk):
+            """*chunk*'s rendezvous candidates, best first, that have
+            no attempt yet and are still connected."""
+            tried = {attempt[0] for attempt in chunk.attempts}
+            return (
+                candidate
+                for candidate in chunk.candidates
+                if candidate not in tried
+                and self._shards[candidate].connected
+            )
+
         def top_up() -> None:
             now = time.monotonic()
             for shard in range(pool_size):
                 while shard_inflight[shard] < self.window:
                     if queued[shard]:
+                        # On a dead shard this attempt fails at once
+                        # and the chunk moves on (see settle).
                         chunk = queued[shard].popleft()
-                    else:
+                    elif self._shards[shard].connected:
                         chunk = steal_for(shard, now)
+                    else:
+                        chunk = None
                     if chunk is None:
                         break
                     active[id(chunk)] = chunk
@@ -911,7 +845,7 @@ class EvolutionRuntime:
             for chunk in list(active.values()):
                 if chunk.done or len(chunk.attempts) > 1:
                     continue
-                shard0, started = chunk.attempts[0]
+                shard0, started, _ = chunk.attempts[0]
                 age = now - started
                 if age <= threshold:
                     continue
@@ -919,13 +853,11 @@ class EvolutionRuntime:
                 # better than this chunk's own wait and not observed
                 # slower than its current shard — re-dispatching onto
                 # an equally stuck shard only doubles the drain.
-                tried = {shard for shard, _ in chunk.attempts}
                 target = next(
                     (
                         candidate
-                        for candidate in chunk.candidates
-                        if candidate not in tried
-                        and oldest_inflight_age(candidate, now) < age
+                        for candidate in untried(chunk)
+                        if oldest_inflight_age(candidate, now) < age
                         and not slower_than(candidate, shard0)
                     ),
                     None,
@@ -934,7 +866,7 @@ class EvolutionRuntime:
                     continue
                 self.speculative_dispatches += 1
                 info["speculated"] += 1
-                dispatch(chunk, target)
+                dispatch(chunk, target, speculative=True)
 
         def release(event) -> None:
             """Free one finished attempt's window slot and fold its
@@ -962,18 +894,22 @@ class EvolutionRuntime:
                 return None
             if error is not None:
                 # Another attempt may still win; only a chunk whose
-                # every attempt failed propagates.
-                chunk.error = error
+                # every attempt failed moves on or propagates.
                 if chunk.outstanding > 0:
                     return None
+                if isinstance(error, ShardLostError):
+                    target = next(untried(chunk), None)
+                    if target is not None:
+                        dispatch(chunk, target)
+                        return None
                 raise error
             chunk.done = True
             active.pop(id(chunk), None)
-            started = chunk.attempts[attempt][1]
+            _, started, speculative = chunk.attempts[attempt]
             self._observe_latency(
                 time.monotonic() - started, len(chunk.indices)
             )
-            if attempt > 0:
+            if speculative:
                 self.speculative_wins += 1
                 info["spec_wins"] += 1
             chunk.result = value
@@ -1024,7 +960,7 @@ class EvolutionRuntime:
             "published_bytes": self.arena.published_bytes,
             "arena_hits": self.arena.hits,
             "arena_dedup_hits": self.arena.dedup_hits,
-            "segments": len(self.arena),
+            "arena_entries": len(self.arena),
             "pool_starts": self.pool_starts,
             "pool_size": len(self._shards),
             "dispatches": self.dispatches,
@@ -1053,8 +989,9 @@ class EvolutionRuntime:
             f"runtime: pool of {stats['pool_size']} worker(s) "
             f"({stats['pool_starts']} start(s), "
             f"{stats['dispatches']} dispatch(es), "
-            f"{stats['tasks']} task(s)); arena: {stats['segments']} "
-            f"segment(s), {stats['published']} publish(es) "
+            f"{stats['tasks']} task(s)); arena: "
+            f"{stats['arena_entries']} entr(y/ies), "
+            f"{stats['published']} publish(es) "
             f"({stats['published_bytes']} bytes), "
             f"{stats['arena_hits']} hit(s), "
             f"{stats['arena_dedup_hits']} dedup hit(s); "
@@ -1109,8 +1046,8 @@ def get_runtime() -> EvolutionRuntime:
 def discard_kernel(kernel) -> None:
     """Unpublish *kernel* from the default runtime's arena, if one is
     live (fire-and-forget compile-eviction hook: replacing a process
-    version drops its predecessor's shared-memory segment as soon as
-    the version stops being the lineage anchor)."""
+    version drops its predecessor's arena entry as soon as the version
+    stops being the lineage anchor)."""
     if _DEFAULT is not None and not _DEFAULT._closed:
         _DEFAULT.arena.discard(kernel)
 

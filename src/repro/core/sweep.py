@@ -36,17 +36,17 @@ The sweep engine batches the whole pair grid into one pass:
   dispatched through the shared evolution runtime
   (:mod:`repro.core.runtime`): unique participant kernels are
   *published once* into the content-addressed arena and chunks carry
-  only ``(digest, locator)`` references + pair indices, pairs are
-  routed to shards by rendezvous hashing on their kernel digests (so
-  repeated *and evolved* grids keep hitting warm worker caches), the
-  worker pool is long-lived (its kernel memos and
+  only content digests + pair indices, pairs are routed to shards by
+  rendezvous hashing on their kernel digests (so repeated *and
+  evolved* grids keep hitting warm worker caches), the shards are
+  long-lived (their kernel memos and
   :data:`~repro.afsa.lazy.VERDICTS` caches survive across sweeps),
   and results come back in input order, so verdicts and witnesses are
   identical regardless of worker count, transport, pool restarts,
   completion order, or how often the session swept before (the determinism
   the test suite asserts).  Re-sweeping an unchanged choreography
   ships **zero** kernel payloads — every publish is an arena hit, and
-  over TCP no fetch-on-miss fires.
+  no shard fires a fetch-on-miss.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class SweepReport:
     describe how the fan-out's rendezvous routing placed this sweep's
     pairs (the per-shard pair counts, and how many pairs overflowed
     their top candidate under the hot-shard spill cap);
-    ``payload_fetches`` / ``payload_fetch_bytes`` count the TCP
+    ``payload_fetches`` / ``payload_fetch_bytes`` count the shards'
     fetch-on-miss traffic — a repeated sweep reports zero on any
     transport.  ``chunks`` / ``speculative_*`` / ``stolen_chunks`` /
     ``cancelled_chunks`` / ``inflight_high_water`` describe the
@@ -343,20 +343,20 @@ def check_pair(
 
 
 def _check_arena_chunk(payload):
-    """Pool worker: resolve each referenced kernel by content digest (a
-    memo hit after the first dispatch that shipped it — on any
-    transport, under any segment name), re-register any shipped version
+    """Shard worker: resolve each referenced kernel by content digest
+    (a memo hit after the first dispatch that shipped it, on any
+    transport), re-register any shipped version
     lineage against the *worker's own* kernel objects — lineage and
     retained explorations are per-process state, and digest routing
     brings the repeat of a pair back here, so the worker can seed
     post-evolution verdicts from the exploration it retained itself —
     then check the chunk's pairs against the worker's persistent
     verdict cache."""
-    refs, lineage, index_pairs, witnesses = payload
+    digests, lineage, index_pairs, witnesses = payload
     _injected_fault_delay(len(index_pairs))
-    kernels = [kernel_for(ref) for ref in refs]
-    for local_index, old_ref in lineage:
-        note_lineage(kernel_for(old_ref), kernels[local_index])
+    kernels = [kernel_for(digest) for digest in digests]
+    for local_index, old_digest in lineage:
+        note_lineage(kernel_for(old_digest), kernels[local_index])
     hits0, misses0 = VERDICTS.stats()
     warm0 = warm_stats()
     results = [
@@ -372,27 +372,27 @@ def _check_arena_chunk(payload):
     )
 
 
-def _chunk_payload(chunk, refs, lineage_refs, witnesses):
+def _chunk_payload(chunk, digests, lineage_digests, witnesses):
     """One worker payload: the chunk's pairs re-indexed against only
-    the kernel references it uses (plus the ancestor references of its
+    the kernel digests it uses (plus the ancestor digests of its
     evolved participants, for worker-side lineage).  Payloads are
     self-contained — every pair's kernels travel in the chunk's own
-    reference list — which is what lets the spill policy overflow a
+    digest list — which is what lets the spill policy overflow a
     hot pair to any shard without a correctness risk."""
     local: dict = {}
-    local_refs: list = []
+    local_digests: list = []
     local_pairs: list = []
     local_lineage: list = []
     for li, ri in chunk:
         for index in (li, ri):
             if index not in local:
-                local[index] = len(local_refs)
-                local_refs.append(refs[index])
-                old_ref = lineage_refs.get(index)
-                if old_ref is not None:
-                    local_lineage.append((local[index], old_ref))
+                local[index] = len(local_digests)
+                local_digests.append(digests[index])
+                old_digest = lineage_digests.get(index)
+                if old_digest is not None:
+                    local_lineage.append((local[index], old_digest))
         local_pairs.append((local[li], local[ri]))
-    return (local_refs, local_lineage, local_pairs, witnesses)
+    return (local_digests, local_lineage, local_pairs, witnesses)
 
 
 def _lineage_root(kernel: Kernel) -> Kernel:
@@ -517,7 +517,7 @@ def _sweep_grid_fanout(
     fetches0 = runtime.payload_fetches
     fetch_bytes0 = runtime.payload_fetch_bytes
     # Evolved participants ship their ancestor too, as a second
-    # arena reference: workers re-register the lineage locally and
+    # arena digest: workers re-register the lineage locally and
     # seed post-evolution verdicts from their own retained
     # explorations (digest routing brings the pair back to them).
     ancestors: dict = {}
@@ -538,15 +538,14 @@ def _sweep_grid_fanout(
         with runtime.published(
             list(kernels) + list(ancestors.values())
         ) as digests:
-            refs = [runtime.ref_of(digest) for digest in digests]
-            lineage_refs = {
-                index: refs[len(kernels) + position]
+            lineage_digests = {
+                index: digests[len(kernels) + position]
                 for position, index in enumerate(ancestors)
             }
 
             def payload_of(chunk):
                 return _chunk_payload(
-                    chunk, refs[: len(kernels)], lineage_refs, witnesses
+                    chunk, digests, lineage_digests, witnesses
                 )
 
             def key_of(pair):

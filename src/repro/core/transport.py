@@ -1,24 +1,31 @@
-"""Length-prefixed TCP transport for off-box worker shards.
+"""The frame protocol: the one way the runtime reaches a shard.
 
-``multiprocessing`` shards are forked from the parent and attach kernel
-payloads straight out of shared memory; this module is the second
-transport the runtime can route the *same* chunk functions over, with
-shards running anywhere a socket reaches (``repro shard-worker
---listen host:port``).  The wire discipline is deliberately minimal:
+A shard is one connected socket with a worker loop at the far end.
+Where that worker lives is the only thing that differs:
+
+* a **local shard** is a child the runtime forks (:meth:`Shard.fork`);
+  it serves one end of a ``socket.socketpair()``;
+* a **remote shard** is a ``repro shard-worker --listen host:port``
+  process anywhere a socket reaches (:meth:`Shard.connect`).
+
+Both run the same worker loop (:func:`_serve_connection`), and the
+parent holds the same handle (:class:`Shard`) for both, so routing,
+zero-payload repeats, cancellation and failure handling are built once.
+The wire discipline is deliberately minimal:
 
 * every frame is an 8-byte little-endian length header followed by a
-  pickled tuple (the same framing the kernel payloads themselves use);
+  pickled tuple;
 * the parent drives: ``("task", id, "module:function", payload)``
   asks the worker to run one chunk function;
 * the worker answers ``("result", id, value)`` or ``("error", id,
-  traceback_text)`` — remote tracebacks surface in the parent as
-  :class:`RemoteTaskError`, mirroring how a local pool re-raises;
+  traceback_text)`` — a task that raised surfaces in the parent as
+  :class:`RemoteTaskError` carrying the worker's traceback;
 * in between, the worker may interleave ``("need", id, [digests])``
-  requests — *fetch-on-miss* for kernel payloads it has no local
-  source for — which the parent serves from its arena with ``("blob",
-  id, {digest: bytes})``.  A warm worker never sends ``need``: chunks
+  requests — *fetch-on-miss* for kernel payloads it has not memoized
+  yet — which the parent serves from its arena with ``("blob", id,
+  {digest: bytes})``.  A warm worker never sends ``need``: chunks
   carry content digests only, so a repeated sweep ships **zero**
-  payload bytes over the wire (the bench asserts exactly that).
+  payload bytes on every transport (the bench asserts exactly that).
 
 The connection is **pipelined**: the parent may have any number of
 tagged task frames in flight at once, and replies demultiplex by task
@@ -27,36 +34,51 @@ pipelined scheduler's bounded per-shard window rides directly on
 this).  The worker still *executes* tasks strictly one at a time on a
 single task thread — the engine layers (kernel memos, verdict cache)
 are single-threaded by design — so pipelining buys the wire
-round-trips, not intra-shard parallelism.  A lockstep parent (send
-one, wait one) remains a degenerate, fully supported client.
+round-trips, not intra-shard parallelism.
+
+**EOF is the death signal in both directions.**  When a worker's
+socket reaches EOF it finishes its current task, drops the queued
+ones and leaves the loop: a local shard then exits, a remote one goes
+back to ``accept``.  A forked child closes every parent-side shard
+socket it inherited, so each shard socket's parent end lives in the
+parent alone and the shard sees EOF the moment the parent dies, by
+any signal.  When the parent sees EOF, every task still pending on
+that shard fails at once with :class:`ShardLostError`, which the
+scheduler treats as a lost attempt and re-sends elsewhere.
 
 Function names resolve on the worker through an allowlist —
 ``repro.``-prefixed module paths only — so a shard never unpickles its
 way into executing arbitrary callables; the pickled *payloads* are
-trusted exactly as far as the multiprocessing transport trusts them
-(shards are assumed to live inside the deployment's trust boundary,
-like the paper's coordination delegates).
-
-One connection serves one parent at a time, and a worker returns to
-``accept`` when the parent disconnects — ``restart_pool`` on a TCP
-runtime recycles connections, not remote processes, whose caches
-deliberately survive for the next session.
+trusted (shards are assumed to live inside the deployment's trust
+boundary, like the paper's coordination delegates).
 """
 
 from __future__ import annotations
 
 import importlib
+import os
 import pickle
+import signal
 import socket
 import threading
-import time
 import traceback
+import weakref
 
 _HEADER_BYTES = 8
 
+#: Connect timeout for a remote shard.  It bounds connecting only:
+#: an established connection blocks for as long as a chunk or an
+#: idle spell between dispatches takes.
+_CONNECT_TIMEOUT_S = 30.0
+
 
 class RemoteTaskError(RuntimeError):
-    """A task raised on a remote shard; carries the remote traceback."""
+    """A task raised on a shard; carries the worker's traceback."""
+
+
+class ShardLostError(RemoteTaskError):
+    """The shard's connection ended before the task's reply came back:
+    the attempt is lost, not failed by the task itself."""
 
 
 def send_msg(sock: socket.socket, obj) -> None:
@@ -117,7 +139,7 @@ class _BlobWaiter:
 
 
 def _serve_connection(conn: socket.socket) -> None:
-    """Serve one parent connection until it disconnects.
+    """Serve one parent connection until it reaches EOF.
 
     The reader loop demultiplexes frames: ``task`` frames queue onto a
     single task-execution thread (tasks run strictly serially — the
@@ -134,6 +156,10 @@ def _serve_connection(conn: socket.socket) -> None:
     this very connection; the hook is restored after every task so a
     stale socket can never leak into a later dispatch (the task thread
     outlives individual tasks).
+
+    At EOF the running task is allowed to finish (a fetch it starts
+    fails at once) and the queued ones are dropped: nobody is left to
+    read their results.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -142,7 +168,10 @@ def _serve_connection(conn: socket.socket) -> None:
     send_lock = threading.Lock()
     waiters: dict = {}
     waiters_lock = threading.Lock()
-    executor: ThreadPoolExecutor | None = None
+    closed = False
+    executor = ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="repro-shard"
+    )
 
     def send(obj) -> None:
         try:
@@ -155,6 +184,8 @@ def _serve_connection(conn: socket.socket) -> None:
         def fetch(digest):
             waiter = _BlobWaiter()
             with waiters_lock:
+                if closed:
+                    raise ConnectionError("parent closed the connection")
                 waiters[task_id] = waiter
             send(("need", task_id, [digest]))
             if not waiter.event.wait(timeout=60) or waiter.blobs is None:
@@ -163,25 +194,19 @@ def _serve_connection(conn: socket.socket) -> None:
 
         previous = _runtime.set_payload_fetcher(fetch)
         try:
-            result = resolve_task(path)(payload)
+            # A result that fails to pickle is reported like a raise.
+            send(("result", task_id, resolve_task(path)(payload)))
         except Exception:
             send(("error", task_id, traceback.format_exc()))
-        else:
-            send(("result", task_id, result))
         finally:
             _runtime.set_payload_fetcher(previous)
             with waiters_lock:
                 waiters.pop(task_id, None)
 
     try:
-        while True:
-            message = recv_msg(conn)
-            if message is None:
-                return
+        while (message := recv_msg(conn)) is not None:
             kind = message[0]
-            if kind == "ping":
-                send(("pong",))
-            elif kind == "blob":
+            if kind == "blob":
                 with waiters_lock:
                     waiter = waiters.get(message[1])
                 if waiter is not None:
@@ -189,22 +214,18 @@ def _serve_connection(conn: socket.socket) -> None:
                     waiter.event.set()
             elif kind == "task":
                 _, task_id, path, payload = message
-                if executor is None:
-                    executor = ThreadPoolExecutor(
-                        max_workers=1, thread_name_prefix="repro-shard"
-                    )
                 executor.submit(run_task, task_id, path, payload)
             else:
                 send(("error", None, f"unknown frame {kind!r}"))
     finally:
         # Wake any fetch still parked (its blob can never arrive now)
-        # *before* waiting out the task thread, then drain it so no
-        # task survives into the next connection.
+        # and fail the ones still to come, then let the running task
+        # finish and drop the queued ones.
         with waiters_lock:
+            closed = True
             for waiter in waiters.values():
                 waiter.event.set()
-        if executor is not None:
-            executor.shutdown(wait=True)
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 class ShardServer:
@@ -246,6 +267,11 @@ class ShardServer:
 
     def stop(self) -> None:
         self._stopping = True
+        try:
+            # Wakes a thread blocked in accept(); close() alone won't.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # not listening any more
         self._listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5)
@@ -263,81 +289,82 @@ def serve_shard(address: str, announce=print) -> None:
 
 # -- parent side ---------------------------------------------------------------
 
-
-class _TcpResult:
-    """The ``apply_async`` handle: a one-shot future.
-
-    Mirrors the ``multiprocessing.pool.AsyncResult`` slice the runtime
-    uses — ``get``, plus the completion callbacks the pipelined
-    scheduler's completion queue rides on (callbacks fire on the
-    shard's reader thread, exactly like a pool's result-handler
-    thread).
-    """
-
-    __slots__ = ("_event", "_value", "_error", "_callback", "_error_callback")
-
-    def __init__(self, callback=None, error_callback=None):
-        self._event = threading.Event()
-        self._value = None
-        self._error = None
-        self._callback = callback
-        self._error_callback = error_callback
-
-    def get(self, timeout: float | None = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("remote shard result timed out")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def ready(self) -> bool:
-        return self._event.is_set()
-
-    def _resolve(self, value=None, error=None):
-        self._value = value
-        self._error = error
-        self._event.set()
-        try:
-            if error is None and self._callback is not None:
-                self._callback(value)
-            elif error is not None and self._error_callback is not None:
-                self._error_callback(error)
-        except Exception:  # pragma: no cover - consumer callback bug
-            pass
+#: Every open parent-side handle of this process.  A forked child
+#: closes all their sockets, so no shard socket's parent end outlives
+#: the parent in some other shard.
+_HANDLES: "weakref.WeakSet[Shard]" = weakref.WeakSet()
 
 
-class TcpShard:
-    """Parent-side handle on one remote shard connection.
+def _run_forked_shard(slot: int, conn, parent_end) -> None:
+    """Body of a forked local shard: serve *conn* until EOF, then exit
+    the process (never returns into the parent's code)."""
+    status = 1
+    try:
+        parent_end.close()
+        for handle in list(_HANDLES):
+            handle._sock.close()
+        # The fault-injection hook reads the slot from here.
+        os.environ["REPRO_SHARD_SLOT"] = str(slot)
+        _serve_connection(conn)
+        status = 0
+    finally:
+        os._exit(status)
 
-    Duck-types the slice of ``multiprocessing.Pool`` the runtime uses
-    (``apply_async`` → ``.get()`` with optional callbacks,
-    ``terminate``, ``join``) so the dispatch path is transport-blind.
-    ``apply_async`` sends the tagged task frame inline under a send
-    lock and registers a pending future by task id; a dedicated
+
+class Shard:
+    """Parent-side handle on one shard: a connected socket speaking
+    the frame protocol, whether the worker is a forked child or a
+    remote process.
+
+    :meth:`submit` sends the tagged task frame inline under a send
+    lock and registers a completion callback by task id; a dedicated
     **reader thread** demultiplexes everything coming back — results
-    and errors resolve their pending future in whatever order the
-    worker produced them (the wire is pipelined, not lockstep), and
-    ``need`` frames are served from *blob_of* (the arena payload
-    lookup), reporting shipped bytes to *on_fetch* so the runtime's
-    fetch counters see every payload that crosses the wire.
-    :attr:`inflight` is the pending-future count — the invariance
-    tests assert it drains to zero after every sweep, cancelled ones
+    and errors complete their task in whatever order the worker
+    produced them, and ``need`` frames are served from *blob_of* (the
+    arena payload lookup), reporting shipped bytes to *on_fetch* so
+    the runtime's fetch counters see every payload that crosses the
+    wire.  When the connection ends, every pending task fails with
+    :class:`ShardLostError` and the handle stays closed.
+    :attr:`inflight` is the pending-task count — the invariance tests
+    assert it drains to zero after every sweep, cancelled ones
     included.
     """
 
-    def __init__(self, address: str, blob_of, on_fetch=None):
-        self.address = address
+    def __init__(self, sock, name: str, blob_of, on_fetch=None, pid=None):
+        self.name = name
+        #: The forked child's pid (None for a remote shard).
+        self.pid = pid
+        self._sock = sock
         self._blob_of = blob_of
         self._on_fetch = on_fetch
-        host, port = parse_address(address)
-        self._sock = socket.create_connection((host, port), timeout=30)
         self._pending: dict = {}
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
-        self._closing = False
+        self._closed = False
         self._next_id = 0
+        _HANDLES.add(self)
         self._thread = threading.Thread(target=self._recv_loop, daemon=True)
         self._thread.start()
+
+    @classmethod
+    def connect(cls, address: str, blob_of, on_fetch=None) -> "Shard":
+        """Connect to a remote ``repro shard-worker`` at *address*."""
+        sock = socket.create_connection(
+            parse_address(address), timeout=_CONNECT_TIMEOUT_S
+        )
+        sock.settimeout(None)
+        return cls(sock, address, blob_of, on_fetch)
+
+    @classmethod
+    def fork(cls, slot: int, blob_of, on_fetch=None) -> "Shard":
+        """Fork a local shard for *slot*: the child serves one end of
+        a socket pair, the parent keeps the other."""
+        parent_end, child_end = socket.socketpair()
+        pid = os.fork()
+        if pid == 0:
+            _run_forked_shard(slot, child_end, parent_end)
+        child_end.close()
+        return cls(parent_end, f"local-{slot}", blob_of, on_fetch, pid=pid)
 
     @property
     def inflight(self) -> int:
@@ -345,70 +372,61 @@ class TcpShard:
         with self._lock:
             return len(self._pending)
 
-    def apply_async(
-        self, func, args, callback=None, error_callback=None
-    ) -> _TcpResult:
-        (payload,) = args
-        result = _TcpResult(callback, error_callback)
+    @property
+    def connected(self) -> bool:
+        """False once the connection has ended, for whatever reason."""
+        return not self._closed
+
+    def submit(self, func, payload, done) -> None:
+        """Run ``func(payload)`` on the shard; ``done(value, error)``
+        is called exactly once, on the reader thread (or inline when
+        the shard is already closed)."""
         path = f"{func.__module__}:{func.__name__}"
         with self._lock:
-            if self._closing:
-                result._resolve(
-                    error=RemoteTaskError(
-                        f"shard {self.address}: connection closed"
-                    )
-                )
-                return result
-            task_id = self._next_id
-            self._next_id += 1
-            self._pending[task_id] = result
+            task_id = None if self._closed else self._next_id
+            if task_id is not None:
+                self._next_id += 1
+                self._pending[task_id] = done
+        if task_id is None:
+            done(None, ShardLostError(f"shard {self.name}: closed"))
+            return
         try:
             with self._send_lock:
                 send_msg(self._sock, ("task", task_id, path, payload))
-        except Exception as exc:  # socket died: fail fast, loudly
+        except Exception as exc:
             with self._lock:
-                self._pending.pop(task_id, None)
-            result._resolve(
-                error=RemoteTaskError(f"shard {self.address}: {exc!r}")
-            )
-        return result
+                done = self._pending.pop(task_id, None)
+            if done is not None:
+                done(None, ShardLostError(f"shard {self.name}: {exc!r}"))
 
-    def terminate(self) -> None:
-        """Begin disconnecting (the remote worker survives for the
-        next parent; its caches are the point of running it off-box).
-        In-flight tasks get to finish in :meth:`join` — mirroring how
-        the lockstep sender finished its current task."""
-        with self._lock:
-            self._closing = True
-
-    def join(self) -> None:
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._pending:
-                    break
-            time.sleep(0.005)
+    def close(self) -> None:
+        """End the shard: a forked child is killed and reaped at once;
+        a remote shard is only disconnected (its process and caches
+        belong to whoever started it).  Pending tasks fail as lost."""
+        if self.pid is not None:
+            try:
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+            self.pid = None
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._thread.join(timeout=30)
-        try:
-            self._sock.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._fail_pending("connection closed")
+        except OSError:
+            pass  # already disconnected
+        self._thread.join(timeout=5)
+        self._sock.close()
+        _HANDLES.discard(self)
 
     # -- reader thread -----------------------------------------------------
 
     def _recv_loop(self) -> None:
-        """Demultiplex every inbound frame until the socket closes."""
+        """Demultiplex every inbound frame until the connection ends,
+        then fail whatever is still pending."""
+        reason = "connection closed"
         try:
-            while True:
-                message = recv_msg(self._sock)
-                if message is None:
-                    raise ConnectionError("worker closed the connection")
-                kind = message[0]
+            while (message := recv_msg(self._sock)) is not None:
+                kind, task_id = message[0], message[1]
                 if kind == "need":
                     blobs = {
                         digest: self._blob_of(digest)
@@ -418,38 +436,26 @@ class TcpShard:
                         for blob in blobs.values():
                             self._on_fetch(len(blob))
                     with self._send_lock:
-                        send_msg(self._sock, ("blob", message[1], blobs))
-                elif kind in ("result", "error"):
-                    with self._lock:
-                        result = self._pending.pop(message[1], None)
-                    if result is None:
-                        continue  # task already failed parent-side
-                    if kind == "result":
-                        result._resolve(value=message[2])
-                    else:
-                        result._resolve(
-                            error=RemoteTaskError(
-                                f"shard {self.address} raised:\n"
-                                f"{message[2]}"
-                            )
-                        )
-                elif kind == "pong":
+                        send_msg(self._sock, ("blob", task_id, blobs))
                     continue
+                if kind not in ("result", "error"):
+                    reason = f"unexpected frame {kind!r}"
+                    break
+                with self._lock:
+                    done = self._pending.pop(task_id, None)
+                if done is None:
+                    continue  # the task already failed parent-side
+                if kind == "result":
+                    done(message[2], None)
                 else:
-                    raise ConnectionError(f"unexpected frame {kind!r}")
-        except Exception as exc:
+                    done(None, RemoteTaskError(
+                        f"shard {self.name} raised:\n{message[2]}"
+                    ))
+        except Exception as exc:  # a broken connection is an ended one
+            reason = repr(exc)
+        finally:
             with self._lock:
-                closing = self._closing
-                self._closing = True
-            if not closing:
-                self._fail_pending(repr(exc))
-            else:
-                self._fail_pending("connection closed")
-
-    def _fail_pending(self, reason: str) -> None:
-        with self._lock:
-            pending, self._pending = self._pending, {}
-        for result in pending.values():
-            result._resolve(
-                error=RemoteTaskError(f"shard {self.address}: {reason}")
-            )
+                self._closed = True
+                pending, self._pending = self._pending, {}
+            for done in pending.values():
+                done(None, ShardLostError(f"shard {self.name}: {reason}"))

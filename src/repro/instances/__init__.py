@@ -18,7 +18,7 @@ checker into a runtime for that workload:
   under annotations), **pending** (the continuation exists structurally
   but is blocked on unsupported mandatory messages — partner
   confirmation required), or **stranded**; classification is batched
-  per equivalence class with optional multiprocessing fan-out whose
+  per equivalence class with optional fan-out to shards whose
   verdicts are independent of worker count.
 """
 

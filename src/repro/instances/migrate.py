@@ -291,18 +291,18 @@ def _classify_ids(
 
 
 def _classify_arena_chunk(payload):
-    """Pool worker: resolve the models by content digest (a memo hit
+    """Shard worker: resolve the models by content digest (a memo hit
     after the first dispatch — the kernel *and* its replay trie
-    persist across a long-lived pool's tasks, under any segment name
-    and on any transport), classify a chunk of classes."""
-    new_ref, old_ref, traces, witnesses = payload
+    persist across a long-lived shard's tasks, on any transport),
+    classify a chunk of classes."""
+    new_digest, old_digest, traces, witnesses = payload
     _injected_fault_delay(len(traces))
-    new_kernel = kernel_for(new_ref)
+    new_kernel = kernel_for(new_digest)
     cache = ReplayCache.for_kernel(new_kernel)
     old_kernel = None
     old_cache = None
-    if old_ref is not None:
-        old_kernel = kernel_for(old_ref)
+    if old_digest is not None:
+        old_kernel = kernel_for(old_digest)
         old_cache = ReplayCache.for_kernel(old_kernel)
     intern = INTERNER.intern
     return [
@@ -367,25 +367,21 @@ def classify_fleet(
     if workers and workers > 1 and len(ordered) > 1:
         # The models are published once to the content-addressed
         # arena (an arena hit for every later classification of the
-        # same version pair); chunks carry digest refs + trace texts.
+        # same version pair); chunks carry digests + trace texts.
         runtime = runtime or get_runtime()
         kernels = [kernel_of(target)]
         if old_model is not None:
             kernels.append(kernel_of(old_model))
         text_of = INTERNER.text
         with runtime.published(kernels) as digests:
-            new_ref = runtime.ref_of(digests[0])
-            old_ref = (
-                runtime.ref_of(digests[1])
-                if old_model is not None
-                else None
-            )
+            new_digest = digests[0]
+            old_digest = digests[1] if old_model is not None else None
             ordered_results, _, _ = runtime.map_chunked(
                 _classify_arena_chunk,
                 ordered,
                 lambda chunk: (
-                    new_ref,
-                    old_ref,
+                    new_digest,
+                    old_digest,
                     [
                         [text_of(label_id) for label_id in trace]
                         for trace in chunk

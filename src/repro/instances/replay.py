@@ -30,9 +30,9 @@ fleet maintenance** (an :meth:`~repro.instances.store.InstanceStore.
 extend`-grown trace is a superstring of an already-replayed prefix, so
 the :class:`~repro.instances.migrate.FleetClassifier` delta path pays
 only the *new* events when it re-classifies the affected class), and
-**persistent-worker replay** (pool workers memoize arena kernels by
-segment name, and since the cache rides the kernel, their tries
-survive across dispatches of a long-lived pool — chained migrations
+**persistent-worker replay** (shard workers memoize arena kernels by
+content digest, and since the cache rides the kernel, their tries
+survive across dispatches of a long-lived shard — chained migrations
 against live versions reuse each version's trie for free).
 """
 

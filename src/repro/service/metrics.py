@@ -239,22 +239,23 @@ def render_metrics(
     counter(
         "repro_runtime_arena_published_total",
         runtime_stats.get("published", 0),
-        "Kernel payloads published into the shared-memory arena.",
+        "Kernel payloads published into the kernel arena.",
     )
     counter(
         "repro_runtime_arena_published_bytes_total",
         runtime_stats.get("published_bytes", 0),
-        "Bytes published into the shared-memory arena.",
+        "Bytes published into the kernel arena.",
     )
     counter(
         "repro_runtime_arena_hits_total",
         runtime_stats.get("arena_hits", 0),
-        "Arena publishes answered from an already published segment.",
+        "Arena publishes answered from an already published entry.",
     )
     gauge(
         "repro_runtime_arena_segments",
-        runtime_stats.get("segments", 0),
-        "Shared-memory segments currently published.",
+        runtime_stats.get("arena_entries", 0),
+        "Kernel arena entries currently published (one per content "
+        "digest).",
     )
     gauge(
         "repro_runtime_pool_size",
@@ -295,12 +296,12 @@ def render_metrics(
     counter(
         "repro_runtime_payload_fetches_total",
         runtime_stats.get("payload_fetches", 0),
-        "Kernel payloads served to TCP workers on fetch-on-miss.",
+        "Kernel payloads served to shards on fetch-on-miss.",
     )
     counter(
         "repro_runtime_payload_fetch_bytes_total",
         runtime_stats.get("payload_fetch_bytes", 0),
-        "Payload bytes shipped to TCP workers on fetch-on-miss.",
+        "Payload bytes shipped to shards on fetch-on-miss.",
     )
     counter(
         "repro_runtime_chunks_dispatched_total",

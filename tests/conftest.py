@@ -102,24 +102,14 @@ def fig5_product():
 
 @pytest.fixture(autouse=True)
 def no_leaked_shared_memory():
-    """Fail any test that leaks a shared-memory segment.
-
-    The kernel arena (:mod:`repro.core.runtime`) owns every segment it
-    publishes and must unlink it on eviction/shutdown — even when a
-    test dies mid-sweep.  Segments owned by a *live* runtime (the
-    persistent default survives across tests by design) are accounted
-    via ``active_segment_names()``; anything else that appeared during
-    the test is a leak and fails it loudly, instead of surfacing as a
-    resource_tracker warning at interpreter exit.  (The accounting
-    lives in :func:`repro.core.runtime.leaked_segments`, shared with
-    the twin fixture in benchmarks/conftest.py.)
-    """
-    from repro.core.runtime import leaked_segments, shm_segments
+    """Fail any test that leaves a new ``psm_*`` shared-memory segment
+    behind.  The kernel arena keeps its payloads in process memory and
+    shards fetch them over their own connections, so no test may
+    create one at all (the twin fixture lives in
+    benchmarks/conftest.py)."""
+    from repro.core.runtime import shm_segments
 
     before = shm_segments()
     yield
-    leaked = leaked_segments(before)
-    assert not leaked, (
-        f"leaked shared_memory segment(s): {sorted(leaked)} — "
-        f"arena cleanup contract violated"
-    )
+    leaked = shm_segments() - before
+    assert not leaked, f"new shared-memory segment(s): {sorted(leaked)}"

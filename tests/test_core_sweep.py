@@ -3,7 +3,7 @@
 The engine must (a) reproduce exactly what the hand-rolled pairwise
 loops produced before it, (b) honor the witness policy, and (c) return
 identical verdicts and witnesses regardless of worker count — the
-multiprocessing fan-out is a pure wall-clock optimization.
+fan-out to shards is a pure wall-clock optimization.
 """
 
 import pytest

@@ -22,6 +22,7 @@ Four contracts are pinned down here:
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import threading
 import time
@@ -36,6 +37,8 @@ from repro.core.runtime import (
 from repro.core.sweep import (
     WITNESS_ALL,
     WITNESS_NONE,
+    _check_arena_chunk,
+    _chunk_payload,
     _empty_stats,
     _sweep_grid_streaming,
     _sweep_pairs_stats,
@@ -44,8 +47,8 @@ from repro.core.sweep import (
     sweep_pairs,
 )
 from repro.core.transport import (
+    Shard,
     ShardServer,
-    TcpShard,
     parse_address,
     recv_msg,
     send_msg,
@@ -55,11 +58,6 @@ from repro.workload.generator import generate_choreography, random_afsa
 
 #: Runtime options that speculate on any chunk older than 2 ms.
 FORCED_SPECULATION = {"speculate_multiple": 0.0, "speculate_floor_s": 0.002}
-
-
-def _echo_chunk(chunk):
-    """A chunk worker returning its items unchanged (and no extra)."""
-    return list(chunk), None
 
 
 def _random_pairs(count: int, seed: int = 0, states: int = 8):
@@ -84,6 +82,35 @@ def _busier_shard(pairs) -> int:
     return loads.index(max(loads))
 
 
+def _chunked_verdicts(rt, pairs, workers):
+    """Check *pairs* through :meth:`EvolutionRuntime.map_chunked` with
+    the sweep's own chunk worker (shards run ``repro.`` functions
+    only); returns the verdicts in input order."""
+    kernels = [kernel_of(afsa) for pair in pairs for afsa in pair]
+    index_pairs = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
+    with rt.published(kernels) as digests:
+        results, _, _ = rt.map_chunked(
+            _check_arena_chunk,
+            index_pairs,
+            lambda chunk: _chunk_payload(chunk, digests, {}, WITNESS_NONE),
+            workers,
+            key_of=str,
+        )
+    return [ok for ok, _ in results]
+
+
+def _submitted(shard, func, payloads, timeout=10):
+    """Submit one task per payload on *shard* and collect the
+    ``(value, error)`` replies in submission order."""
+    replies = [queue.SimpleQueue() for _ in payloads]
+    for reply, payload in zip(replies, payloads):
+        shard.submit(
+            func, payload,
+            lambda value, error, reply=reply: reply.put((value, error)),
+        )
+    return [reply.get(timeout=timeout) for reply in replies]
+
+
 def _verdict_key(results):
     return [
         (ok, None if wit is None else (wit.describe(), wit.word))
@@ -106,14 +133,16 @@ class TestDefaultPoolSizing:
         """Regression: a 5-item dispatch without a worker count must
         fork ``default_worker_count()`` shards, not 5."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pairs = _random_pairs(5, seed=610, states=6)
+        serial = [ok for ok, _ in sweep_pairs(pairs, WITNESS_NONE)]
         with EvolutionRuntime() as rt:
-            out, _, _ = rt.map_chunked(_echo_chunk, range(5), list, 0, str)
-            assert out == list(range(5))
+            assert _chunked_verdicts(rt, pairs, 0) == serial
             assert rt.pool_size == 2
 
     def test_explicit_worker_count_still_wins(self):
+        pairs = _random_pairs(4, seed=620, states=6)
         with EvolutionRuntime() as rt:
-            rt.map_chunked(_echo_chunk, range(4), list, 3, str)
+            _chunked_verdicts(rt, pairs, 3)
             assert rt.pool_size == 3
 
 
@@ -275,21 +304,18 @@ class TestTcpPipelining:
         server = ShardServer().start()
         shard = None
         try:
-            shard = TcpShard(server.address, blob_of=lambda digest: b"")
-            futures = [
-                shard.apply_async(
-                    parse_address, (f"127.0.0.1:{7000 + i}",)
-                )
-                for i in range(6)
-            ]
-            assert [f.get(timeout=10) for f in futures] == [
-                ("127.0.0.1", 7000 + i) for i in range(6)
+            shard = Shard.connect(server.address, lambda digest: b"")
+            replies = _submitted(
+                shard, parse_address,
+                [f"127.0.0.1:{7000 + i}" for i in range(6)],
+            )
+            assert replies == [
+                (("127.0.0.1", 7000 + i), None) for i in range(6)
             ]
             assert shard.inflight == 0
         finally:
             if shard is not None:
-                shard.terminate()
-                shard.join()
+                shard.close()
             server.stop()
 
     def test_out_of_order_replies_resolve_correct_futures(self):
@@ -312,20 +338,23 @@ class TestTcpPipelining:
 
         thread = threading.Thread(target=serve, daemon=True)
         thread.start()
-        shard = TcpShard(
-            f"127.0.0.1:{port}", blob_of=lambda digest: b""
-        )
+        shard = Shard.connect(f"127.0.0.1:{port}", lambda digest: b"")
         try:
-            r1 = shard.apply_async(parse_address, ("a:1",))
-            r2 = shard.apply_async(parse_address, ("a:2",))
-            assert r2.get(timeout=10) == "second-task"
-            assert r1.get(timeout=10) == "first-task"
+            arrivals = queue.SimpleQueue()
+            for name in ("first", "second"):
+                shard.submit(
+                    parse_address, "a:1",
+                    lambda value, error, name=name: arrivals.put(
+                        (name, value)
+                    ),
+                )
+            assert arrivals.get(timeout=10) == ("second", "second-task")
+            assert arrivals.get(timeout=10) == ("first", "first-task")
             assert shard.inflight == 0
             assert [frame[0] for frame in received] == ["task", "task"]
             assert received[0][1] != received[1][1]
         finally:
-            shard.terminate()
-            shard.join()
+            shard.close()
             listener.close()
 
     def test_tcp_pipelined_sweep_matches_serial_report(self):

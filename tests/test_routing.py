@@ -205,16 +205,17 @@ class TestDigestStability:
         with EvolutionRuntime(arena_maxsize=1) as rt:
             kernel = kernel_of(random_afsa(seed=seed, states=8))
             digest = rt.arena.publish(kernel)
+            payload = rt.arena.payload_of(digest)
             # Publishing a different kernel evicts the first ...
             rt.arena.publish(
                 kernel_of(random_afsa(seed=seed + 1, states=9))
             )
-            assert rt.arena.locator(digest) is None
+            assert digest not in rt.arena
             # ... and a *fresh* equal kernel republishes under the
-            # same digest (new segment, same identity).
+            # same digest (new entry, same identity and bytes).
             rebuilt = kernel_of(random_afsa(seed=seed, states=8))
             assert rt.arena.publish(rebuilt) == digest
-            assert rt.arena.locator(digest) is not None
+            assert rt.arena.payload_of(digest) == payload
 
     def test_worker_process_computes_the_same_digest(self):
         """A fresh interpreter (perturbed hash seed, fresh interner)

@@ -2,10 +2,10 @@
 
 Three contracts are pinned down here:
 
-* **arena** — kernels are published to shared memory once (a repeated
-  sweep over an unchanged choreography ships *zero* kernel payloads),
-  attach reconstructs them faithfully, eviction/discard unlinks
-  segments, and shutdown leaves nothing behind;
+* **arena** — kernels are published once (a repeated sweep over an
+  unchanged choreography ships *zero* kernel payloads), a fetched
+  payload reconstructs them faithfully, eviction/discard drops
+  entries, and shutdown leaves nothing behind;
 * **invariance** — verdicts and canonical witnesses are byte-identical
   for serial, persistent-pool, and pool-restarted runs, with default
   and with forced speculation (hypothesis property over random grids),
@@ -39,8 +39,8 @@ from repro.afsa.lazy import (
 )
 from repro.core.runtime import (
     EvolutionRuntime,
-    active_segment_names,
     kernel_for,
+    set_payload_fetcher,
 )
 from repro.core.transport import ShardServer
 from repro.core.sweep import (
@@ -122,7 +122,12 @@ class TestKernelArena:
         )
         kernel = kernel_of(automaton)
         digest = runtime.arena.publish(kernel)
-        rebuilt = kernel_for((digest, runtime.arena.locator(digest)))
+        previous = set_payload_fetcher(runtime.arena.payload_of)
+        try:
+            rebuilt = kernel_for(digest)
+        finally:
+            set_payload_fetcher(previous)
+        assert rebuilt is not kernel
         # Field-by-field: wire tuples serialize frozensets, whose
         # iteration order is construction-dependent.
         assert rebuilt.n == kernel.n
@@ -151,7 +156,7 @@ class TestKernelArena:
         assert runtime.arena.published == published0 + 1
         assert runtime.arena.hits == hits0 + 1
 
-    def test_eviction_unlinks_segments(self):
+    def test_eviction_drops_lru_entries(self):
         with EvolutionRuntime(arena_maxsize=2) as rt:
             kernels = [
                 kernel_of(random_afsa(seed=10 + i, states=6))
@@ -159,8 +164,10 @@ class TestKernelArena:
             ]
             digests = [rt.arena.publish(k) for k in kernels]
             assert len(rt.arena) == 2
-            assert rt.arena.locator(digests[-1]) is not None
-            assert rt.arena.locator(digests[0]) is None
+            assert digests[-1] in rt.arena
+            assert digests[0] not in rt.arena
+            with pytest.raises(KeyError):
+                rt.arena.payload_of(digests[0])
 
     def test_pinning_more_kernels_than_maxsize(self):
         """A dispatch may pin a grid larger than the arena bound: the
@@ -173,10 +180,8 @@ class TestKernelArena:
             ]
             digests = rt.arena.pin(kernels)
             assert len(set(digests)) == 5
-            assert all(
-                rt.arena.locator(digest) is not None
-                for digest in digests
-            )
+            # Every pinned payload stays fetchable for the dispatch.
+            assert all(rt.arena.payload_of(digest) for digest in digests)
             rt.arena.unpin(kernels)
             extra = kernel_of(random_afsa(seed=40, states=6))
             rt.arena.publish(extra)
@@ -188,17 +193,17 @@ class TestKernelArena:
             with rt.published([kernel]) as (digest,):
                 rt.arena.discard(kernel)
                 # Pinned by the in-flight dispatch: still published.
-                assert rt.arena.locator(digest) is not None
-            assert rt.arena.locator(digest) is None
+                assert rt.arena.payload_of(digest)
+            assert digest not in rt.arena
 
     def test_shutdown_unlinks_everything(self):
         rt = EvolutionRuntime()
         kernel = kernel_of(random_afsa(seed=22, states=6))
         digest = rt.arena.publish(kernel)
-        name = rt.arena.locator(digest)
-        assert name in active_segment_names()
+        assert digest in rt.arena
         rt.shutdown()
-        assert name not in active_segment_names()
+        assert digest not in rt.arena
+        assert len(rt.arena) == 0
 
 
 class TestZeroPayloadResweep:
@@ -370,7 +375,7 @@ class TestInvariance:
 
     def test_fanned_out_post_evolution_sweep_seeds_in_workers(self):
         """Pillars compose: a fanned-out sweep after an evolution step
-        ships the ancestor segment alongside the evolved kernel, and
+        ships the ancestor's digest alongside the evolved kernel, and
         the shard that checked the old pair seeds the new verdict from
         its *own* retained exploration (reported pool-wide)."""
         clear_warm_state()
@@ -684,10 +689,10 @@ class TestMigrationThroughRuntime:
 
 
 class TestLineageArenaEviction:
-    def test_replace_private_discards_stale_anchor_segment(self):
-        """Chained evolutions drop the n-2 version's shared-memory
-        segment from the default arena the moment it stops being the
-        lineage anchor (compile eviction extended to the arena)."""
+    def test_replace_private_discards_stale_anchor_entry(self):
+        """Chained evolutions drop the n-2 version's entry from the
+        default arena the moment it stops being the lineage anchor
+        (compile eviction extended to the arena)."""
         from repro.core.choreography import Choreography
         from repro.core.runtime import get_runtime, shutdown_runtime
         from repro.scenario.procurement import (
@@ -699,7 +704,7 @@ class TestLineageArenaEviction:
 
         # Fresh default runtime: the arena dedups by content, so an
         # identical kernel published by an earlier test would keep the
-        # segment alive past this test's own discard — correctly.
+        # entry alive past this test's own discard — correctly.
         shutdown_runtime()
         choreography = Choreography("evict")
         choreography.add_partner(buyer_private())
@@ -710,17 +715,17 @@ class TestLineageArenaEviction:
             "A", accounting_private_variant_change()
         )
         # v1 is the anchor now: still published.
-        assert get_runtime().arena.locator(digest) is not None
+        assert digest in get_runtime().arena
         choreography.public("A")  # compile v2 so it can take over
         choreography.replace_private(
             "A", accounting_private_subtractive_change()
         )
-        # v2 took the anchor; v1's segment is gone.
-        assert get_runtime().arena.locator(digest) is None
+        # v2 took the anchor; v1's entry is gone.
+        assert digest not in get_runtime().arena
 
-    def test_uncompiled_replace_keeps_anchor_segment(self):
+    def test_uncompiled_replace_keeps_anchor_entry(self):
         """Replacing a version that was never compiled must NOT drop
-        the still-active anchor's segment (the anchor is unchanged)."""
+        the still-active anchor's entry (the anchor is unchanged)."""
         from repro.core.choreography import Choreography
         from repro.core.runtime import get_runtime
         from repro.scenario.procurement import (
@@ -739,11 +744,11 @@ class TestLineageArenaEviction:
             "A", accounting_private_variant_change()
         )
         # v2 is never compiled before the next replace: v1 stays the
-        # lineage anchor and its segment must survive.
+        # lineage anchor and its entry must survive.
         choreography.replace_private(
             "A", accounting_private_subtractive_change()
         )
-        assert get_runtime().arena.locator(digest) is not None
+        assert digest in get_runtime().arena
 
 
 class TestCliSweep:
