@@ -95,18 +95,3 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
     if FANOUT_CURVE:
         hardware = output_json["machine_info"].setdefault("hardware", {})
         hardware["sweep_fanout_curve"] = dict(sorted(FANOUT_CURVE.items()))
-
-
-# -- shared-memory leak guard (twin of tests/conftest.py) ----------------------
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shared_memory():
-    """Fail any bench that leaves a new ``psm_*`` shared-memory
-    segment behind: the runtime creates none at all."""
-    from repro.core.runtime import shm_segments
-
-    before = shm_segments()
-    yield
-    leaked = shm_segments() - before
-    assert not leaked, f"new shared-memory segment(s): {sorted(leaked)}"

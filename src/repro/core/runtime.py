@@ -285,7 +285,10 @@ class KernelArena:
 def shm_segments() -> set[str]:
     """Python shared-memory segments currently visible on this host
     (``psm_*`` entries of ``/dev/shm``; empty off Linux).  The runtime
-    creates none; the leak guards assert that it stays that way."""
+    creates none (``tools/check_imports.py`` rejects any shared-memory
+    import under ``src/repro``).  The listing is host-wide, so only a
+    run that owns the host may diff it: ``perfbench/run.py`` does, around
+    each served run."""
     try:
         return {
             name

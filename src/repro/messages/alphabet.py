@@ -32,18 +32,28 @@ class LabelInterner:
     message labels, not millions.
     """
 
-    __slots__ = ("_ids", "_labels", "_texts")
+    __slots__ = ("_ids", "_labels", "_texts", "_text_ids")
 
     def __init__(self):
         self._ids: dict = {}
         self._labels: list = []
         self._texts: list = []
+        #: Exact ``str`` inputs already interned, so a repeated text
+        #: (every label of every replayed trace) skips the parse.
+        #: Filled only after a successful parse: a malformed text
+        #: raises on every call.
+        self._text_ids: dict = {}
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def intern(self, label: Label) -> int:
         """Return the dense id of *label* (assigning one if new)."""
+        is_text = type(label) is str
+        if is_text:
+            index = self._text_ids.get(label)
+            if index is not None:
+                return index
         parsed = parse_label(label)
         index = self._ids.get(parsed)
         if index is None:
@@ -51,6 +61,8 @@ class LabelInterner:
             self._ids[parsed] = index
             self._labels.append(parsed)
             self._texts.append(label_text(parsed))
+        if is_text:
+            self._text_ids[label] = index
         return index
 
     def label(self, index: int) -> Label:

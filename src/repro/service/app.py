@@ -28,7 +28,10 @@ admission bounds the engine queue a tenant can build up, and the
 coalescer dedupes identical pending pair checks *before* they reach
 the queue — N concurrent identical ``/check`` requests cost one
 engine dispatch (the cache-stampede guard; see
-:mod:`repro.service.coalesce`).
+:mod:`repro.service.coalesce`).  A *finished* check never reaches the
+queue again while its parties keep their versions: each session
+memoizes its answers, stamped with the versions they were computed
+for, and the loop serves them itself.
 
 The route table (:data:`ROUTES`) is the single source of truth for
 the service's surface; ``docs/API.md`` documents every entry and
@@ -645,12 +648,20 @@ class ChoreoService:
         return party
 
     async def handle_check(self, request: Request):
-        """One bilateral consistency check — the coalesced hot path.
+        """One bilateral consistency check — the memoized, coalesced
+        hot path.
 
-        The coalescing key is version-stamped (tenant, choreography,
+        A finished answer is memoized on the session under the two
+        process versions the engine computed it for; while both
+        parties still have those versions, the check is answered on
+        the event loop with no engine dispatch.  Otherwise it
+        dispatches under a version-stamped coalescing key (session,
         pair, policy, versions), so identical concurrent requests
         dedupe onto one engine dispatch while post-evolution requests
-        never see pre-evolution verdicts.
+        never see pre-evolution verdicts.  The key holds the session
+        object, not its name: a replaced or re-registered choreography
+        restarts its versions at ``#v1``, and must not share the old
+        one's in-flight computation (nor memoize its answer).
         """
         body = request.json()
         tenant, session = self._session(body)
@@ -661,33 +672,47 @@ class ChoreoService:
         )
         choreography = session.choreography
         with self.registry.admit(tenant):
-            key = (
-                tenant.name,
-                session.name,
-                left,
-                right,
-                policy,
+            memo_key = (left, right, policy)
+            versions = (
                 choreography.current_version(left),
                 choreography.current_version(right),
             )
+            stamped = session.answers.get(memo_key)
+            if stamped is not None and stamped[0] == versions:
+                self.metrics.check_memo_hits += 1
+                # Each request gets its own dict; the memo keeps its own.
+                return 200, dict(stamped[1])
 
             def compute():
                 self.metrics.checks_executed += 1
-                return check_pair(
+                # Stamp the answer with the versions it is computed
+                # for, read here on the engine thread: a commit queued
+                # ahead of this check may have moved them since the
+                # loop built the coalescing key.
+                computed_for = (
+                    choreography.current_version(left),
+                    choreography.current_version(right),
+                )
+                consistent, witness = check_pair(
                     choreography.view(right, on=left),
                     choreography.view(left, on=right),
                     policy,
                 )
+                return computed_for, {
+                    "left": left,
+                    "right": right,
+                    "consistent": consistent,
+                    "witness": (
+                        witness.describe() if witness is not None else None
+                    ),
+                }
 
-            consistent, witness = await self.coalescer.run(
-                key, lambda: self._run_engine(compute)
+            stamped = await self.coalescer.run(
+                (session, *memo_key, *versions),
+                lambda: self._run_engine(compute),
             )
-        return 200, {
-            "left": left,
-            "right": right,
-            "consistent": consistent,
-            "witness": witness.describe() if witness is not None else None,
-        }
+            session.answers[memo_key] = stamped
+        return 200, dict(stamped[1])
 
     async def handle_sweep(self, request: Request):
         """Batched consistency sweep over all conversing pairs.

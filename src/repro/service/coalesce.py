@@ -56,9 +56,9 @@ class Coalescer:
         The first caller for a live *key* owns the computation; any
         caller arriving before the owner finishes awaits the same
         future.  The key is removed before waiters are woken, so a
-        request arriving *after* completion dispatches fresh (and will
-        normally land in the verdict cache instead — the coalescer
-        only guards the in-flight window).
+        request arriving *after* completion is not coalesced (``/check``
+        answers it from the session's answer memo instead — the
+        coalescer only guards the in-flight window).
 
         If the *owner* is cancelled, its followers are not: the
         shared future is cancelled (after the key is removed) and the

@@ -7,10 +7,11 @@ warm-start seed rates (:func:`repro.afsa.lazy.warm_stats`) — but until
 the service existed those counters were only visible to the one Python
 caller that owned the objects.  :class:`ServiceMetrics` adds the
 *service-level* counters (requests by endpoint and status, coalesced
-requests, admission rejections, evictions, engine dispatches) and
-per-endpoint latency histograms, and :func:`render_metrics` exports
-both layers in the Prometheus text exposition format, so "fast" is a
-scrapeable served quantile instead of a bench median.
+requests, memoized check answers, admission rejections, evictions,
+engine dispatches) and per-endpoint latency histograms, and
+:func:`render_metrics` exports both layers in the Prometheus text
+exposition format, so "fast" is a scrapeable served quantile instead
+of a bench median.
 
 Everything here is synchronous and allocation-light: the histogram is
 a fixed bucket array (`<=` upper bounds in seconds), observation is
@@ -94,6 +95,7 @@ class ServiceMetrics:
         self.requests: dict = defaultdict(int)
         self.latency: dict = defaultdict(Histogram)
         self.coalesced = 0
+        self.check_memo_hits = 0
         self.admission_rejected = 0
         self.quota_rejected = 0
         self.evictions = 0
@@ -114,6 +116,7 @@ class ServiceMetrics:
         used by ``/healthz`` and the test suite)."""
         return {
             "coalesced": self.coalesced,
+            "check_memo_hits": self.check_memo_hits,
             "admission_rejected": self.admission_rejected,
             "quota_rejected": self.quota_rejected,
             "evictions": self.evictions,
@@ -199,6 +202,12 @@ def render_metrics(
         "repro_coalesced_requests_total",
         metrics.coalesced,
         "Pair checks answered by an already in-flight identical check.",
+    )
+    counter(
+        "repro_check_memo_hits_total",
+        metrics.check_memo_hits,
+        "Pair checks answered from the session's answer memo, with no "
+        "engine dispatch.",
     )
     counter(
         "repro_admission_rejected_total",

@@ -93,9 +93,22 @@ class Tenant:
 
 class Session:
     """One registered choreography: the model, its evolution engine,
-    and the bookkeeping eviction needs."""
+    the memo of its finished ``/check`` answers, and the bookkeeping
+    eviction needs.
 
-    __slots__ = ("tenant", "name", "choreography", "engine", "last_used")
+    ``answers`` maps ``(left, right, witness policy)`` to ``(versions,
+    response)``: the JSON-ready ``/check`` response (a bool and the
+    rendered witness text, never a kernel) and the two process versions
+    the engine computed it for.  It is read and written on the event
+    loop only, holds no engine state, and dies with the session — a
+    replaced choreography restarts its versions at ``#v1`` but starts
+    with an empty memo.  One entry per pair and policy, overwritten
+    when the versions move.
+    """
+
+    __slots__ = (
+        "tenant", "name", "choreography", "engine", "last_used", "answers"
+    )
 
     def __init__(self, tenant: Tenant, name: str, choreography, engine):
         self.tenant = tenant
@@ -103,6 +116,7 @@ class Session:
         self.choreography = choreography
         self.engine = engine
         self.last_used = 0
+        self.answers: dict = {}
 
     def resident_kernels(self) -> list:
         """The kernels this session holds in the shared caches: every

@@ -95,21 +95,3 @@ def party_b():
 @pytest.fixture(scope="session")
 def fig5_product():
     return fig5_intersection()
-
-
-# -- shared-memory leak guard --------------------------------------------------
-
-
-@pytest.fixture(autouse=True)
-def no_leaked_shared_memory():
-    """Fail any test that leaves a new ``psm_*`` shared-memory segment
-    behind.  The kernel arena keeps its payloads in process memory and
-    shards fetch them over their own connections, so no test may
-    create one at all (the twin fixture lives in
-    benchmarks/conftest.py)."""
-    from repro.core.runtime import shm_segments
-
-    before = shm_segments()
-    yield
-    leaked = shm_segments() - before
-    assert not leaked, f"new shared-memory segment(s): {sorted(leaked)}"

@@ -1,5 +1,6 @@
 """Import lint mirrored by CI: eager products and differences stay at
-their construction sites, and validated automata at input boundaries.
+their construction sites, validated automata at input boundaries, and
+no module imports shared memory.
 
 Classification and consistency paths (Defs. 5/6, version lookup,
 bilateral checks) answer emptiness questions lazily; only propagation
@@ -12,7 +13,10 @@ generators, …); views, public processes and propagation results are
 materialized from their kernels.  ``tools/check_imports.py`` enforces
 both on the AST — aliases, relative imports, package re-exports and
 module attributes included — and CI runs the same tool; this test runs
-it for local runs and names the offender.
+it for local runs and names the offender.  The same walk holds the
+third boundary: no module under ``src/repro`` imports
+``multiprocessing.shared_memory``, ``SharedMemoryManager`` or
+``_posixshmem``, so the runtime cannot create a ``/dev/shm`` segment.
 """
 
 from __future__ import annotations
@@ -179,3 +183,62 @@ def test_lint_catches_every_validated_construction(tmp_path):
         "repro/afsa/serialize.py::afsa_from_dict: allowlisted "
         "construction site does not build a validated AFSA any more"
     ) in failures
+
+
+def test_lint_catches_every_shared_memory_import(tmp_path):
+    """Every way of reaching a shared-memory module or the manager is
+    caught, in ``repro.afsa`` too; other multiprocessing imports are
+    not."""
+    src = _tree(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "afsa/__init__.py": (
+                "from multiprocessing.shared_memory import SharedMemory\n"
+            ),
+            "core/__init__.py": "",
+            "core/direct.py": (
+                "from multiprocessing.shared_memory import ShareableList\n"
+            ),
+            "core/module.py": (
+                "import multiprocessing.shared_memory as shm\n"
+            ),
+            "core/package.py": "from multiprocessing import shared_memory\n",
+            "core/manager.py": (
+                "from multiprocessing.managers import "
+                "SharedMemoryManager as Manager\n"
+            ),
+            "core/posix.py": "import _posixshmem\n",
+            "core/reexport.py": "from repro.afsa import SharedMemory\n",
+            "core/attribute.py": (
+                "import multiprocessing\n"
+                "import multiprocessing.managers as managers\n"
+                "def attribute():\n"
+                "    managers.SharedMemoryManager()\n"
+                "    return multiprocessing.shared_memory.SharedMemory()\n"
+            ),
+            "core/clean.py": (
+                "import multiprocessing\n"
+                "from multiprocessing import get_context, managers\n"
+                "def clean():\n"
+                "    managers.BaseManager()\n"
+                "    return multiprocessing.get_context('fork')\n"
+            ),
+        },
+    )
+    failures = "\n".join(check(src))
+    segments = "multiprocessing.shared_memory"
+    manager = "multiprocessing.managers.SharedMemoryManager"
+    for site, name in (
+        ("afsa/__init__.py:1", f"{segments}.SharedMemory"),
+        ("core/direct.py:1", f"{segments}.ShareableList"),
+        ("core/module.py:1", segments),
+        ("core/package.py:1", segments),
+        ("core/manager.py:1", manager),
+        ("core/posix.py:1", "_posixshmem"),
+        ("core/reexport.py:1", f"{segments}.SharedMemory"),
+        ("core/attribute.py:4", manager),
+        ("core/attribute.py:5", segments),
+    ):
+        assert f"repro/{site}: imports {name} (" in failures, site
+    assert "clean.py" not in failures

@@ -1,9 +1,11 @@
 """Unit tests for message labels and alphabets."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import MessageLabelError
-from repro.messages.alphabet import Alphabet
+from repro.messages.alphabet import Alphabet, LabelInterner
 from repro.messages.label import (
     EPSILON,
     MessageLabel,
@@ -158,3 +160,48 @@ class TestAlphabet:
 
     def test_equality_with_sets(self):
         assert Alphabet(["A#B#x"]) == {MessageLabel("A", "B", "x")}
+
+
+#: Label texts: short ones over the separator (well-formed, opaque,
+#: ε and malformed ``"A##op"`` shapes), plus arbitrary text.
+LABEL_TEXTS = st.one_of(st.text(alphabet="AB#x", max_size=7), st.text())
+
+
+def _parses(text) -> bool:
+    try:
+        parse_label(text)
+    except MessageLabelError:
+        return False
+    return True
+
+
+class TestLabelInterner:
+    @given(LABEL_TEXTS)
+    def test_text_and_parsed_label_share_an_id(self, text):
+        interner = LabelInterner()
+        if not _parses(text):
+            for _ in range(3):
+                with pytest.raises(MessageLabelError):
+                    interner.intern(text)
+            assert len(interner) == 0
+            return
+        first = interner.intern(text)
+        assert interner.intern(text) == first
+        assert interner.intern(parse_label(text)) == first
+        assert interner.label(first) == parse_label(text)
+        assert interner.text(first) == label_text(parse_label(text))
+
+    @given(st.lists(st.tuples(LABEL_TEXTS, st.booleans()), max_size=24))
+    def test_ids_follow_first_sight_of_the_parsed_label(self, calls):
+        """Any mix of texts and parsed labels gets the ids an interner
+        that parses every call assigns."""
+        interner = LabelInterner()
+        reference: dict = {}
+        for text, as_label in calls:
+            if not _parses(text):
+                with pytest.raises(MessageLabelError):
+                    interner.intern(text)
+                continue
+            parsed = parse_label(text)
+            expected = reference.setdefault(parsed, len(reference))
+            assert interner.intern(parsed if as_label else text) == expected

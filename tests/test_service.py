@@ -1,4 +1,5 @@
-"""Service-layer semantics: admission, coalescing, quotas, eviction.
+"""Service-layer semantics: admission, coalescing, the answer memo,
+quotas, eviction.
 
 Everything here drives :meth:`ChoreoService.dispatch` directly — the
 same code path the socket layer uses, without opening sockets.  The
@@ -13,12 +14,14 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+import threading
 from unittest import mock
 
 import pytest
 
 from repro.afsa.lazy import VERDICTS
-from repro.bpel.dsl import process_to_dsl
+from repro.bpel.dsl import process_from_dsl, process_to_dsl
+from repro.core.sweep import WITNESS_ALL, WITNESS_NONE, check_pair
 from repro.errors import ChangeError
 from repro.service.app import ChoreoService, ROUTES
 from repro.service.coalesce import Coalescer
@@ -99,6 +102,23 @@ def check_body(**overrides) -> dict:
     }
     body.update(overrides)
     return body
+
+
+def direct_answer(session, left="C", right="S", witness=False) -> dict:
+    """The ``/check`` body for *session*'s current views, computed with
+    ``check_pair`` directly (no memo, no coalescer, no engine thread)."""
+    choreography = session.choreography
+    consistent, found = check_pair(
+        choreography.view(right, on=left),
+        choreography.view(left, on=right),
+        WITNESS_ALL if witness else WITNESS_NONE,
+    )
+    return {
+        "left": left,
+        "right": right,
+        "consistent": consistent,
+        "witness": found.describe() if found is not None else None,
+    }
 
 
 class TestRouting:
@@ -332,24 +352,46 @@ class TestCoalescing:
 
         run(main())
 
-    def test_sequential_checks_hit_verdict_cache_not_coalescer(self):
+    def test_sequential_checks_hit_answer_memo_not_engine(self):
         async def main():
             service = await make_service()
             try:
-                await service.dispatch(
+                _, first = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
-                hits_before, _ = VERDICTS.stats()
-                coalesced_before = service.metrics.coalesced
-                status, _ = await service.dispatch(
+                # Each caller owns its payload: tampering with one
+                # must not reach the memo or later answers.
+                first["consistent"] = "tampered"
+                metrics = service.metrics
+                untouched = (
+                    metrics.engine_dispatches,
+                    metrics.checks_executed,
+                    metrics.coalesced,
+                    VERDICTS.stats(),
+                )
+                memo_hits = metrics.check_memo_hits
+                status, second = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
                 assert status == 200
-                # A request after completion dispatches fresh and is
-                # served by the verdict cache instead.
-                assert service.metrics.coalesced == coalesced_before
-                hits_after, _ = VERDICTS.stats()
-                assert hits_after > hits_before
+                # A request after completion is answered from the
+                # session's memo on the loop: no engine dispatch, no
+                # computation, no coalescing, no verdict-cache lookup.
+                assert (
+                    metrics.engine_dispatches,
+                    metrics.checks_executed,
+                    metrics.coalesced,
+                    VERDICTS.stats(),
+                ) == untouched
+                assert metrics.check_memo_hits == memo_hits + 1
+                session = service.registry.sessions[("acme", "shop")]
+                assert second == direct_answer(session)
+                second["witness"] = "tampered"
+                _, third = await service.dispatch(
+                    request("POST", "/check", check_body())
+                )
+                assert third == direct_answer(session)
+                assert metrics.check_memo_hits == memo_hits + 2
             finally:
                 service.close()
 
@@ -415,6 +457,378 @@ class TestCoalescing:
                 service.close()
 
         run(main())
+
+
+def evolve_body(process: str, **overrides) -> dict:
+    body = {
+        "tenant": "acme",
+        "choreography": "shop",
+        "party": "C",
+        "process": {"text": process, "format": "dsl"},
+        "auto_adapt": False,
+        "commit": True,
+    }
+    body.update(overrides)
+    return body
+
+
+async def make_bad_shop() -> ChoreoService:
+    """A service whose ``shop`` starts inconsistent (the client never
+    confirms); evolving C to ``CLIENT`` commits and fixes it."""
+    service = ChoreoService()
+    await service.dispatch(request("POST", "/tenants", {"tenant": "acme"}))
+    status, _ = await service.dispatch(
+        request(
+            "POST",
+            "/choreographies",
+            {
+                "tenant": "acme",
+                "name": "shop",
+                "processes": [BUYER, CLIENT_BAD],
+            },
+        )
+    )
+    assert status == 200
+    return service
+
+
+class TestAnswerMemo:
+    """Finished checks are answered on the loop from the session's memo,
+    and only while both parties keep the versions the engine computed
+    the answer for."""
+
+    def test_committed_evolve_recomputes(self):
+        async def main():
+            service = await make_bad_shop()
+            try:
+                _, before = await service.dispatch(
+                    request("POST", "/check", check_body(witness=True))
+                )
+                assert before["consistent"] is False
+                assert before["witness"] is not None
+                status, evolved = await service.dispatch(
+                    request("POST", "/evolve", evolve_body(CLIENT))
+                )
+                assert status == 200
+                assert evolved["committed"] is True
+                executed = service.metrics.checks_executed
+                memo_hits = service.metrics.check_memo_hits
+                _, after = await service.dispatch(
+                    request("POST", "/check", check_body(witness=True))
+                )
+                assert after["consistent"] is True
+                assert service.metrics.checks_executed == executed + 1
+                assert service.metrics.check_memo_hits == memo_hits
+            finally:
+                service.close()
+
+        run(main())
+
+    def test_uncommitted_evolve_keeps_the_memoized_answer(self):
+        async def main():
+            service = await make_bad_shop()
+            try:
+                await service.dispatch(
+                    request("POST", "/check", check_body(witness=True))
+                )
+                status, evolved = await service.dispatch(
+                    request(
+                        "POST", "/evolve", evolve_body(CLIENT, commit=False)
+                    )
+                )
+                assert status == 200
+                assert evolved["committed"] is False
+                executed = service.metrics.checks_executed
+                memo_hits = service.metrics.check_memo_hits
+                _, after = await service.dispatch(
+                    request("POST", "/check", check_body(witness=True))
+                )
+                assert service.metrics.checks_executed == executed
+                assert service.metrics.check_memo_hits == memo_hits + 1
+                session = service.registry.sessions[("acme", "shop")]
+                assert after == direct_answer(session, witness=True)
+                assert after["consistent"] is False
+            finally:
+                service.close()
+
+        run(main())
+
+    def test_answers_are_stamped_with_the_engine_versions(self):
+        """A check queued behind a committing evolve computes the
+        post-evolve verdict; its memo entry must carry the post-evolve
+        versions, not the ones the loop read before dispatching."""
+
+        async def main():
+            service = await make_bad_shop()
+            try:
+                (_, evolved), (_, raced) = await asyncio.gather(
+                    service.dispatch(
+                        request("POST", "/evolve", evolve_body(CLIENT))
+                    ),
+                    service.dispatch(request("POST", "/check", check_body())),
+                )
+                assert evolved["committed"] is True
+                assert raced["consistent"] is True
+                executed = service.metrics.checks_executed
+                memo_hits = service.metrics.check_memo_hits
+                _, third = await service.dispatch(
+                    request("POST", "/check", check_body())
+                )
+                assert service.metrics.checks_executed == executed
+                assert service.metrics.check_memo_hits == memo_hits + 1
+                session = service.registry.sessions[("acme", "shop")]
+                assert third == direct_answer(session)
+            finally:
+                service.close()
+
+        run(main())
+
+    def test_tenant_at_its_cap_gets_429_for_a_memoized_pair(self):
+        async def main():
+            service = await make_service()
+            try:
+                await service.dispatch(request("POST", "/check", check_body()))
+                tenant = service.registry.tenant("acme")
+                tenant.max_inflight = 1
+                held = service.registry.admit(tenant)
+                rejected = service.metrics.admission_rejected
+                memo_hits = service.metrics.check_memo_hits
+                status, payload = await service.dispatch(
+                    request("POST", "/check", check_body())
+                )
+                assert status == 429
+                assert payload["error"]["code"] == "tenant-overloaded"
+                assert service.metrics.admission_rejected == rejected + 1
+                assert service.metrics.check_memo_hits == memo_hits
+                held.release()
+                status, _ = await service.dispatch(
+                    request("POST", "/check", check_body())
+                )
+                assert status == 200
+                assert service.metrics.check_memo_hits == memo_hits + 1
+                assert tenant.inflight == 0
+            finally:
+                service.close()
+
+        run(main())
+
+    def test_replace_does_not_join_the_old_computation(self):
+        """A replaced choreography restarts its versions at ``#v1``
+        under the same names, so a check on it must not coalesce onto a
+        check still in flight for the old one: it would receive, and
+        memoize, the old choreography's verdict."""
+
+        async def until(predicate):
+            async def poll():
+                while not predicate():
+                    await asyncio.sleep(0.001)
+
+            await asyncio.wait_for(poll(), 10)
+
+        async def main():
+            service = await make_service()
+            gate = threading.Event()
+            calls = []
+
+            def gated_check_pair(*args):
+                calls.append(args)
+                if len(calls) == 1:
+                    gate.wait(10)
+                return check_pair(*args)
+
+            metrics = service.metrics
+            try:
+                old = service.registry.sessions[("acme", "shop")]
+                with mock.patch(
+                    "repro.service.app.check_pair", gated_check_pair
+                ):
+                    # The replace's build is queued on the engine first;
+                    # the check on the old choreography queues behind it
+                    # and then blocks in its check_pair.
+                    replace = asyncio.ensure_future(
+                        service.dispatch(
+                            request(
+                                "POST",
+                                "/choreographies",
+                                {
+                                    "tenant": "acme",
+                                    "name": "shop",
+                                    "processes": [BUYER, CLIENT_BAD],
+                                    "replace": True,
+                                },
+                            )
+                        )
+                    )
+                    stale = asyncio.ensure_future(
+                        service.dispatch(
+                            request("POST", "/check", check_body())
+                        )
+                    )
+                    await until(
+                        lambda: service.registry.sessions[("acme", "shop")]
+                        is not old
+                    )
+                    assert not stale.done()
+                    waiting = (metrics.coalesced, metrics.engine_dispatches)
+                    fresh = asyncio.ensure_future(
+                        service.dispatch(
+                            request("POST", "/check", check_body())
+                        )
+                    )
+                    await until(
+                        lambda: (metrics.coalesced, metrics.engine_dispatches)
+                        != waiting
+                    )
+                    gate.set()
+                    (_, replaced), (_, before), (_, after) = (
+                        await asyncio.gather(replace, stale, fresh)
+                    )
+                assert replaced["replaced"] is True
+                assert before["consistent"] is True
+                assert metrics.coalesced == waiting[0]
+                new = service.registry.sessions[("acme", "shop")]
+                assert after == direct_answer(new)
+                assert after["consistent"] is False
+                memo_hits = metrics.check_memo_hits
+                _, again = await service.dispatch(
+                    request("POST", "/check", check_body())
+                )
+                assert metrics.check_memo_hits == memo_hits + 1
+                assert again == direct_answer(new)
+            finally:
+                gate.set()
+                service.close()
+
+        run(main())
+
+    def test_randomized_interleaving_matches_direct_checks(self):
+        """Register, replace, check (with and without a witness), evolve
+        (committed or not) and evict at ``max_resident=2``, in a seeded
+        random order: every ``/check`` body equals ``check_pair`` run
+        directly on the session's current views."""
+        rng = random.Random(1906)
+        names = ("c0", "c1", "c2")
+        changes = (
+            inject_invariant_additive,
+            inject_variant_additive,
+            inject_variant_subtractive,
+        )
+
+        def pair_texts():
+            pair = generate_partner_pair(
+                seed=rng.randrange(1 << 30),
+                steps=rng.choice((4, 6)),
+                with_loop=rng.random() < 0.5,
+            )
+            return [process_to_dsl(model) for model in pair]
+
+        def changed_text(model):
+            for inject in rng.sample(changes, len(changes)):
+                try:
+                    change, _ = inject(model, seed=rng.randrange(1000))
+                except ChangeError:
+                    continue
+                return process_to_dsl(change.apply(model))
+            return None
+
+        async def main():
+            service = ChoreoService(max_resident=2)
+            # The consistent-by-construction texts each name was last
+            # registered from: evolving a party back to its text
+            # commits, and undoes an unadapted change.
+            pristine = {}
+            checked = 0
+            try:
+                await service.dispatch(
+                    request("POST", "/tenants", {"tenant": "acme"})
+                )
+                for _ in range(90):
+                    resident = sorted(
+                        name
+                        for tenant, name in service.registry.sessions
+                        if tenant == "acme"
+                    )
+                    roll = rng.random()
+                    if not resident or roll < 0.15:
+                        name = rng.choice(names)
+                        texts = pair_texts()
+                        pristine[name] = dict(zip(("I", "R"), texts))
+                        if rng.random() < 0.5:
+                            # Register with one side changed, unadapted.
+                            index = rng.randrange(2)
+                            changed = changed_text(
+                                process_from_dsl(texts[index])
+                            )
+                            texts[index] = changed or texts[index]
+                        status, _ = await service.dispatch(
+                            request(
+                                "POST",
+                                "/choreographies",
+                                {
+                                    "tenant": "acme",
+                                    "name": name,
+                                    "processes": texts,
+                                    "replace": True,
+                                },
+                            )
+                        )
+                        assert status == 200
+                        continue
+                    name = rng.choice(resident)
+                    session = service.registry.sessions[("acme", name)]
+                    if roll < 0.4:
+                        party = rng.choice(("I", "R"))
+                        new = pristine[name][party]
+                        if rng.random() < 0.5:
+                            new = changed_text(
+                                session.choreography.private(party)
+                            )
+                        if new is None:
+                            continue
+                        status, _ = await service.dispatch(
+                            request(
+                                "POST",
+                                "/evolve",
+                                evolve_body(
+                                    new,
+                                    choreography=name,
+                                    party=party,
+                                    auto_adapt=rng.random() < 0.5,
+                                    commit=rng.random() < 0.6,
+                                ),
+                            )
+                        )
+                        assert status == 200
+                        continue
+                    left, right = rng.sample(("I", "R"), 2)
+                    witness = rng.random() < 0.5
+                    status, body = await service.dispatch(
+                        request(
+                            "POST",
+                            "/check",
+                            check_body(
+                                choreography=name,
+                                left=left,
+                                right=right,
+                                witness=witness,
+                            ),
+                        )
+                    )
+                    assert status == 200
+                    assert body == direct_answer(
+                        session, left, right, witness
+                    )
+                    checked += 1
+                metrics = service.metrics
+                # Both paths ran: memo hits and engine computations.
+                assert metrics.check_memo_hits > 0
+                assert metrics.checks_executed > 0
+                assert metrics.evictions > 0
+            finally:
+                service.close()
+            return checked
+
+        assert run(main()) > 20
 
 
 class TestAdmission:
@@ -965,6 +1379,7 @@ class TestMetricsEndpoint:
                     "repro_requests_total",
                     "repro_request_seconds_bucket",
                     "repro_coalesced_requests_total",
+                    "repro_check_memo_hits_total",
                     "repro_admission_rejected_total",
                     "repro_runtime_arena_hits_total",
                     "repro_verdict_cache_hits_total",

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Import lint: eager automata are built only where they belong.
+"""Import lint: eager automata are built only where they belong, and
+shared memory nowhere.
 
-Two boundaries, both checked on the AST of every module of
+Three boundaries, all checked on the AST of every module of
 ``src/repro``:
 
 1. **Eager products and differences stay at construction sites.**
@@ -32,8 +33,19 @@ Two boundaries, both checked on the AST of every module of
    module attribute, or the class's own name in its module — must sit
    in a function listed in :data:`CONSTRUCTION_SITES` with its reason.
 
-An allowlisted import or construction that is gone is reported too, so
-both lists stay exact.
+3. **No shared-memory segment is ever created.**  Kernel payloads
+   reach shards over their own connections (fetch-on-miss), so no
+   module — ``repro.afsa`` included — may import
+   ``multiprocessing.shared_memory``, ``SharedMemoryManager`` or
+   ``_posixshmem``, by ``import``, ``from … import``, a ``repro``
+   module that re-exports it, or an attribute of an imported module.
+   A static rule, unlike a ``/dev/shm`` diff, cannot be failed by
+   another process on the same host.
+
+Each module is parsed once: every name it imports or reaches through
+an imported module is resolved to its defining site, and boundaries 1
+and 3 filter that one list.  An allowlisted import or construction
+that is gone is reported too, so both lists stay exact.
 
 Used by CI and mirrored by ``tests/test_import_lint.py``.
 
@@ -110,6 +122,14 @@ CONSTRUCTION_SITES = {
 }
 
 
+#: Shared-memory modules and names (dotted) no module may import.
+SHARED_MEMORY = (
+    "multiprocessing.shared_memory",
+    "multiprocessing.managers.SharedMemoryManager",
+    "_posixshmem",
+)
+
+
 class _Resolver:
     """Resolves names imported from ``repro`` modules to the module
     that defines them, following re-exports through the source tree."""
@@ -179,13 +199,14 @@ def absolute_module(module: str, path: Path, node: ast.ImportFrom) -> str:
 
 
 class _Imports:
-    """What the names of one parsed module refer to: every ``from …
-    import`` binding resolved to its defining site, and every module
-    alias usable in attribute chains."""
+    """What the names of one parsed module refer to: every imported
+    module and ``from … import`` binding resolved to its defining site,
+    and every module alias usable in attribute chains."""
 
     def __init__(self, tree, module: str, path: Path, resolver: _Resolver):
         self.resolver = resolver
-        #: ``(line, bound name, origin)`` per ``from … import`` binding.
+        #: ``(line, bound name, origin)`` per imported name; an
+        #: ``import`` entry's origin is ``(module, None)``.
         self.bindings: list = []
         self.module_aliases: dict = {}
         for node in ast.walk(tree):
@@ -199,11 +220,13 @@ class _Imports:
                         self.module_aliases[bound] = origin[0]
             elif isinstance(node, ast.Import):
                 for alias in node.names:
-                    if alias.asname:
-                        self.module_aliases[alias.asname] = alias.name
-                    else:
-                        top = alias.name.split(".")[0]
-                        self.module_aliases[top] = top
+                    bound = alias.asname or alias.name.split(".")[0]
+                    self.bindings.append(
+                        (node.lineno, bound, (alias.name, None))
+                    )
+                    self.module_aliases[bound] = (
+                        alias.name if alias.asname else bound
+                    )
 
     def attribute_origin(self, node: ast.Attribute) -> tuple | None:
         """The defining site of ``alias.….name``, or None when the
@@ -215,31 +238,27 @@ class _Imports:
         if head not in self.module_aliases:
             return None
         target = self.module_aliases[head] + ("." + rest if rest else "")
-        return target, node.attr, self.resolver.origin(target, node.attr)
+        return self.resolver.origin(target, node.attr)
+
+    def named(self, tree) -> list:
+        """``(line, dotted origin, origin)`` of every name the module
+        imports or reaches as an attribute of an imported module,
+        resolved to its defining site."""
+        found = {(lineno, origin) for lineno, _, origin in self.bindings}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                origin = self.attribute_origin(node)
+                if origin is not None:
+                    found.add((node.lineno, origin))
+        return sorted(
+            (lineno, ".".join(part for part in origin if part), origin)
+            for lineno, origin in found
+        )
 
 
-def violations(path: Path, module: str, resolver: _Resolver) -> list:
-    """``(line, text)`` of every forbidden import in one module."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imports = _Imports(tree, module, path, resolver)
-    found = [
-        (lineno, f"{origin[0]}.{origin[1]}")
-        for lineno, _, origin in imports.bindings
-        if origin in FORBIDDEN
-    ]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
-            resolved = imports.attribute_origin(node)
-            if resolved is not None and resolved[2] in FORBIDDEN:
-                found.append((node.lineno, f"{resolved[0]}.{resolved[1]}"))
-    return sorted(set(found))
-
-
-def constructions(path: Path, module: str, resolver: _Resolver) -> list:
+def constructions(tree, module: str, imports: _Imports) -> list:
     """``(line, qualified function name)`` of every call of the
-    validating ``AFSA`` constructor in one module."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    imports = _Imports(tree, module, path, resolver)
+    validating ``AFSA`` constructor in one parsed module."""
     names = {
         bound for _, bound, origin in imports.bindings if origin == VALIDATING
     }
@@ -250,8 +269,7 @@ def constructions(path: Path, module: str, resolver: _Resolver) -> list:
         if isinstance(func, ast.Name):
             return func.id in names
         if isinstance(func, ast.Attribute):
-            resolved = imports.attribute_origin(func)
-            return resolved is not None and resolved[2] == VALIDATING
+            return imports.attribute_origin(func) == VALIDATING
         return False
 
     found: list = []
@@ -269,6 +287,15 @@ def constructions(path: Path, module: str, resolver: _Resolver) -> list:
 
     visit(tree, ())
     return sorted(found)
+
+
+def shared_memory(name: str) -> bool:
+    """Whether dotted *name* is, or lies inside, a :data:`SHARED_MEMORY`
+    module or name."""
+    return any(
+        name == banned or name.startswith(banned + ".")
+        for banned in SHARED_MEMORY
+    )
 
 
 def _dotted(node) -> str | None:
@@ -296,7 +323,17 @@ def check(root: Path) -> list:
         if module.endswith(".__init__"):
             module = module[: -len(".__init__")]
         key = relative.as_posix()
-        for lineno, scope in constructions(path, module, resolver):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        imports = _Imports(tree, module, path, resolver)
+        named = imports.named(tree)
+        for lineno, name, _ in named:
+            if shared_memory(name):
+                failures.append(
+                    f"{root.name}/{key}:{lineno}: imports {name} (the "
+                    "runtime creates no shared-memory segment; kernel "
+                    "payloads reach shards over their connections)"
+                )
+        for lineno, scope in constructions(tree, module, imports):
             site = f"{key}::{scope}"
             if site in CONSTRUCTION_SITES:
                 built.add(site)
@@ -309,7 +346,9 @@ def check(root: Path) -> list:
         if relative.parts[0] == EXEMPT_PACKAGE:
             continue
         allowed = ALLOWED.get(key, (set(), ""))[0]
-        for lineno, name in violations(path, module, resolver):
+        for lineno, name, origin in named:
+            if origin not in FORBIDDEN:
+                continue
             if name in allowed:
                 used.add((key, name))
                 continue
