@@ -31,7 +31,7 @@ import pytest
 from bench_support import FANOUT_CURVE
 
 from repro.core.runtime import EvolutionRuntime
-from repro.core.sweep import WITNESS_NONE, _sweep_pairs_stats, sweep_pairs
+from repro.core.sweep import WITNESS_NONE, _sweep_pairs_report, sweep_pairs
 from repro.workload.generator import random_afsa
 
 #: Small states for the skew rows: the injected sleep dominates, so
@@ -78,10 +78,10 @@ def _busier_shard(grid):
     share of *grid* (routing is deterministic within a process, so a
     later runtime places the grid the same way)."""
     with EvolutionRuntime() as runtime:
-        _, stats = _sweep_pairs_stats(
+        _, report = _sweep_pairs_report(
             grid, WITNESS_NONE, SWEEP_WORKERS, runtime
         )
-    loads = stats["shard_loads"]
+    loads = report.shard_loads
     return loads.index(max(loads)), max(loads)
 
 

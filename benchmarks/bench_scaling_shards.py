@@ -23,7 +23,7 @@ Rows (all correctness checks run inside the bench):
 import pytest
 
 from repro.core.runtime import EvolutionRuntime
-from repro.core.sweep import WITNESS_NONE, _sweep_pairs_stats, sweep_pairs
+from repro.core.sweep import WITNESS_NONE, _sweep_pairs_report, sweep_pairs
 from repro.core.transport import ShardServer
 from repro.workload.generator import random_afsa
 
@@ -73,18 +73,18 @@ def test_scaling_shards_evolved_digest(benchmark, size):
     serial = sweep_pairs(shifted, witnesses=WITNESS_NONE)
     runtime = EvolutionRuntime()
     try:
-        _sweep_pairs_stats(grid, WITNESS_NONE, SWEEP_WORKERS, runtime)
-        _, repeat = _sweep_pairs_stats(
+        _sweep_pairs_report(grid, WITNESS_NONE, SWEEP_WORKERS, runtime)
+        _, repeat = _sweep_pairs_report(
             grid, WITNESS_NONE, SWEEP_WORKERS, runtime
         )
-        results, evolved = _sweep_pairs_stats(
+        results, evolved = _sweep_pairs_report(
             shifted, WITNESS_NONE, SWEEP_WORKERS, runtime
         )
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
         # Every repeated pair lands on its warm shard: the evolved
         # sweep is at least as warm as an identical repeat.
-        assert repeat["cache_hits"] == GRID_PAIRS
-        assert evolved["cache_hits"] >= repeat["cache_hits"]
+        assert repeat.cache_hits == GRID_PAIRS
+        assert evolved.cache_hits >= repeat.cache_hits
 
         def setup():
             runtime.restart_pool()

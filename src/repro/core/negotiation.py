@@ -46,7 +46,7 @@ from repro.core.propagate import (
     propagate_subtractive,
 )
 from repro.core.suggestions import derive_suggestions
-from repro.core.sweep import WITNESS_NONE, sweep_serialized_pairs
+from repro.core.sweep import WITNESS_NONE, sweep_pairs
 from repro.errors import ChoreographyError
 from repro.instances.migrate import MigrationReport, classify_migration
 from repro.instances.store import InstanceStore
@@ -345,8 +345,16 @@ class ChangeNegotiation:
                 )
                 for left, right in party_pairs
             ]
-            results = sweep_serialized_pairs(
-                wire_pairs, witnesses=WITNESS_NONE, workers=workers
+            # One parsed view per distinct wire text: the sweep builds
+            # one kernel per distinct view object.
+            views = {
+                text: afsa_from_json(text)
+                for text in {text for pair in wire_pairs for text in pair}
+            }
+            results = sweep_pairs(
+                [(views[left], views[right]) for left, right in wire_pairs],
+                witnesses=WITNESS_NONE,
+                workers=workers,
             )
             return all(consistent for consistent, _ in results)
         for left, right in party_pairs:

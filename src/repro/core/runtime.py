@@ -52,7 +52,7 @@ import os
 import queue
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import OrderedDict, defaultdict, deque
 
 from repro.afsa.kernel import Kernel
 from repro.afsa.serialize import (
@@ -312,6 +312,16 @@ _MAX_AUTO_SHARDS = 8
 #: Chunk-size histogram bucket upper bounds (pairs per chunk).
 CHUNK_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
+#: The scheduler events a dispatch counts in its record and adds to
+#: the runtime's running totals (same names on both) when it ends.
+_DISPATCH_TOTALS = (
+    "routing_spilled",
+    "speculative_dispatches",
+    "speculative_wins",
+    "stolen_chunks",
+    "cancelled_chunks",
+)
+
 #: EWMA smoothing for observed chunk/pair latencies.
 _EWMA_ALPHA = 0.25
 
@@ -417,7 +427,6 @@ class EvolutionRuntime:
         self._shards: list = []
         self.pool_starts = 0
         self.dispatches = 0
-        self.tasks = 0
         self.routed_tasks = 0
         self.routing_spilled = 0
         self.payload_fetches = 0
@@ -554,23 +563,18 @@ class EvolutionRuntime:
         add per-chunk dispatch cost when nothing consumes results
         early.  ``payload_of(chunk)`` builds each worker payload;
         *func* must return ``(chunk_results, extra)`` with
-        ``chunk_results`` aligned to its chunk.  Returns ``(results,
-        extras, info)``: *results* in input order for every worker
-        count and transport, *extras* in completion order, and *info*
-        the dispatch's placement and scheduler counters.
+        ``chunk_results`` aligned to its chunk.  Returns the results
+        in input order for every worker count and transport.
         """
         items = list(items)
         results: list = [None] * len(items)
-        extras: list = []
-        info: dict = {}
-        for indices, chunk_results, extra in self.map_streaming(
-            func, items, payload_of, workers, key_of, info=info,
+        for indices, chunk_results, _ in self.map_streaming(
+            func, items, payload_of, workers, key_of,
             _chunk_size=len(items),
         ):
-            extras.append(extra)
             for index, result in zip(indices, chunk_results):
                 results[index] = result
-        return results, extras, info
+        return results
 
     # -- pipelined scheduler -----------------------------------------------
 
@@ -672,17 +676,15 @@ class EvolutionRuntime:
         never-dispatched chunks as cancelled and drains every
         outstanding attempt before returning, so no in-flight state —
         task frames, arena pins — outlives the dispatch.
-        *info*, when given, is filled with routing placement and the
-        dispatch-local scheduler counters.
+        Each scheduler event is counted once, in the dispatch's
+        record, under :class:`~repro.core.sweep.SweepReport` field
+        names (routing placement and scheduler counters; a count
+        absent from the record is zero).  When the dispatch ends, the
+        record's event counts (:data:`_DISPATCH_TOTALS`) are added to
+        the runtime's running totals and the record is copied into
+        *info*, when given.
         """
         items = list(items)
-        if info is None:
-            info = {}
-        info.update({
-            "loads": [], "spilled": 0, "chunks": 0,
-            "chunk_size": 0, "speculated": 0, "spec_wins": 0,
-            "stolen": 0, "cancelled": 0, "inflight_high_water": 0,
-        })
         if not items:
             return
         if self.transport == TRANSPORT_TCP:
@@ -691,24 +693,22 @@ class EvolutionRuntime:
             self.ensure_pool(min(workers, len(items)) if workers else 0)
         pool_size = len(self._shards)
         self.dispatches += 1
-        self.tasks += len(items)
         self.routed_tasks += len(items)
 
         keys = [key_of(item) for item in items]
         assignments, spilled = route(keys, pool_size, self.spill_factor)
-        self.routing_spilled += spilled
         loads = [0] * pool_size
         per_shard: OrderedDict = OrderedDict()
         for index, shard in enumerate(assignments):
             loads[shard] += 1
             per_shard.setdefault(shard, []).append(index)
-        info["loads"] = loads
-        info["spilled"] = spilled
+        record: defaultdict = defaultdict(int)
+        record["shard_loads"] = loads
+        record["routing_spilled"] = spilled
 
         chunk_size = _chunk_size or self._chunk_size_for(
             len(items), pool_size
         )
-        info["chunk_size"] = chunk_size
         queued: dict = {shard: deque() for shard in range(pool_size)}
         total_chunks = 0
         for shard in sorted(per_shard):
@@ -723,7 +723,7 @@ class EvolutionRuntime:
                 queued[shard].append(chunk)
                 self._record_chunk_size(len(part))
                 total_chunks += 1
-        info["chunks"] = total_chunks
+        record["chunks"] = total_chunks
 
         completions: queue.SimpleQueue = queue.SimpleQueue()
         shard_inflight = [0] * pool_size
@@ -808,8 +808,7 @@ class EvolutionRuntime:
                     backlog = len(queued[shard])
             if victim is None:
                 return None
-            self.stolen_chunks += 1
-            info["stolen"] += 1
+            record["stolen_chunks"] += 1
             return queued[victim].pop()
 
         def untried(chunk: _Chunk):
@@ -867,8 +866,7 @@ class EvolutionRuntime:
                 )
                 if target is None:
                     continue
-                self.speculative_dispatches += 1
-                info["speculated"] += 1
+                record["speculative_dispatches"] += 1
                 dispatch(chunk, target, speculative=True)
 
         def release(event) -> None:
@@ -913,8 +911,7 @@ class EvolutionRuntime:
                 time.monotonic() - started, len(chunk.indices)
             )
             if speculative:
-                self.speculative_wins += 1
-                info["spec_wins"] += 1
+                record["speculative_wins"] += 1
             chunk.result = value
             return chunk
 
@@ -940,11 +937,10 @@ class EvolutionRuntime:
             cancelled += sum(
                 1 for chunk in active.values() if not chunk.done
             )
-            self.cancelled_chunks += cancelled
-            info["cancelled"] += cancelled
+            record["cancelled_chunks"] += cancelled
             raise
         finally:
-            info["inflight_high_water"] = high_water
+            record["inflight_high_water"] = high_water
             # Drain every outstanding attempt (late duplicates, the
             # straggler halves of speculated chunks, cancelled work)
             # so callers can unpin arena entries with nothing in
@@ -955,6 +951,10 @@ class EvolutionRuntime:
                 except queue.Empty:  # pragma: no cover - hung worker
                     break
                 release(event)
+            for name in _DISPATCH_TOTALS:
+                setattr(self, name, getattr(self, name) + record[name])
+            if info is not None:
+                info.update(record)
 
     def stats(self) -> dict:
         """Running counters (arena + pool + routing) as one flat dict."""
@@ -967,7 +967,6 @@ class EvolutionRuntime:
             "pool_starts": self.pool_starts,
             "pool_size": len(self._shards),
             "dispatches": self.dispatches,
-            "tasks": self.tasks,
             "transport": self.transport,
             "routed_tasks": self.routed_tasks,
             "routing_spilled": self.routing_spilled,
@@ -991,8 +990,7 @@ class EvolutionRuntime:
         return (
             f"runtime: pool of {stats['pool_size']} worker(s) "
             f"({stats['pool_starts']} start(s), "
-            f"{stats['dispatches']} dispatch(es), "
-            f"{stats['tasks']} task(s)); arena: "
+            f"{stats['dispatches']} dispatch(es)); arena: "
             f"{stats['arena_entries']} entr(y/ies), "
             f"{stats['published']} publish(es) "
             f"({stats['published_bytes']} bytes), "

@@ -28,10 +28,10 @@ The sweep engine batches the whole pair grid into one pass:
   hit/miss deltas are reported per sweep in
   :meth:`SweepReport.describe`;
 * **shared memos** — operand views are projected once per partner,
-  their kernels are built once per participant (``kernel_of`` memoizes
-  on the view instance, and the serialized entry point dedupes
-  identical wire payloads before rebuilding), and the ε-free forms are
-  memo hits across every pair a participant appears in;
+  their kernels are built once per participant (the grid dedupes view
+  objects by identity, and ``kernel_of`` memoizes on the view
+  instance), and the ε-free forms are memo hits across every pair a
+  participant appears in;
 * **persistent fan-out** — with ``workers > 1`` the pair grid is
   dispatched through the shared evolution runtime
   (:mod:`repro.core.runtime`): unique participant kernels are
@@ -51,7 +51,7 @@ The sweep engine batches the whole pair grid into one pass:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.afsa.automaton import AFSA
 from repro.afsa.emptiness import EmptinessWitness
@@ -65,7 +65,7 @@ from repro.afsa.lazy import (
     store_witness,
     warm_stats,
 )
-from repro.afsa.serialize import afsa_from_json, kernel_digest
+from repro.afsa.serialize import kernel_digest
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.runtime import (
     EvolutionRuntime,
@@ -107,6 +107,12 @@ class PairOutcome:
 @dataclass
 class SweepReport:
     """Aggregate outcome of one batched consistency sweep.
+
+    The report is the sweep's one counter record: the grid code adds
+    to it in place (:meth:`add`) where the counts happen, and
+    ``as_dict()["counters"]`` serves every field except ``outcomes``
+    and ``undecided`` — a new counter is one field plus the statement
+    that counts it.
 
     ``cache_hits`` / ``cache_misses`` are the sweep's
     :class:`~repro.afsa.lazy.PairVerdictCache` deltas aggregated
@@ -233,19 +239,46 @@ class SweepReport:
             )
         return "\n".join(lines)
 
+    def add(self, counts: dict) -> None:
+        """Fold one counter record, keyed by field name, into the report.
+
+        Numbers add and lists concatenate.  Every source reports this
+        way: a shard worker's per-chunk engine deltas, the serial
+        path's engine delta, the scheduler's per-dispatch record and
+        the parent's arena deltas.  A sweep makes at most one fan-out
+        dispatch, so its ``shard_loads`` and ``inflight_high_water``
+        land on empty fields.
+        """
+        for name, value in counts.items():
+            setattr(self, name, getattr(self, name) + value)
+
+    def totals(self, *counters: str) -> dict:
+        """The sweep's verdict totals, with the named counters between
+        ``failures`` and ``undecided``.
+
+        ``pairs`` is the whole grid: decided plus undecided, so a
+        fail-fast sweep reports the same grid size as a completed one.
+        The ``POST /sweep`` body and its streamed summary line both
+        start from this dict.
+        """
+        return {
+            "consistent": self.consistent,
+            "pairs": len(self.outcomes) + self.undecided,
+            "failures": len(self.failures()),
+            **{name: getattr(self, name) for name in counters},
+            "undecided": self.undecided,
+        }
+
     def as_dict(self) -> dict:
         """The report as one JSON-serializable dict.
 
         The wire shape the service front-end returns from ``POST
-        /sweep`` (and what the streaming variant emits as its summary
-        line): per-pair verdicts with rendered witness descriptions,
-        plus all the pool-wide counter deltas ``describe`` prints.
+        /sweep``: the :meth:`totals`, per-pair verdicts with rendered
+        witness descriptions, and every counter field ``describe``
+        prints.
         """
         return {
-            "consistent": self.consistent,
-            "pairs": len(self.outcomes),
-            "failures": len(self.failures()),
-            "undecided": self.undecided,
+            **self.totals(),
             "outcomes": [
                 {
                     "left": outcome.left,
@@ -260,26 +293,9 @@ class SweepReport:
                 for outcome in self.outcomes
             ],
             "counters": {
-                "workers": self.workers,
-                "cache_hits": self.cache_hits,
-                "cache_misses": self.cache_misses,
-                "arena_published": self.arena_published,
-                "arena_hits": self.arena_hits,
-                "warm_seeded": self.warm_seeded,
-                "warm_decided": self.warm_decided,
-                "witness_lazy": self.witness_lazy,
-                "witness_expansions": self.witness_expansions,
-                "eager_oracle": self.eager_oracle,
-                "shard_loads": list(self.shard_loads),
-                "routing_spilled": self.routing_spilled,
-                "payload_fetches": self.payload_fetches,
-                "payload_fetch_bytes": self.payload_fetch_bytes,
-                "chunks": self.chunks,
-                "speculative_dispatches": self.speculative_dispatches,
-                "speculative_wins": self.speculative_wins,
-                "stolen_chunks": self.stolen_chunks,
-                "cancelled_chunks": self.cancelled_chunks,
-                "inflight_high_water": self.inflight_high_water,
+                counter.name: getattr(self, counter.name)
+                for counter in fields(self)
+                if counter.name not in ("outcomes", "undecided")
             },
         }
 
@@ -342,6 +358,38 @@ def check_pair(
 # -- persistent-runtime fan-out ------------------------------------------------
 
 
+def _engine_counters() -> dict:
+    """This process's running verdict-cache, warm-start and
+    witness-path counters, under :class:`SweepReport` field names."""
+    hits, misses = VERDICTS.stats()
+    warm = warm_stats()
+    return {
+        "cache_hits": hits,
+        "cache_misses": misses,
+        "warm_seeded": warm["seeded"],
+        "warm_decided": warm["decided_from_seed"],
+        "witness_lazy": warm["witness_lazy"],
+        "witness_expansions": warm["witness_expansions"],
+        "eager_oracle": warm["eager_oracle"],
+    }
+
+
+def _arena_counters(runtime: EvolutionRuntime) -> dict:
+    """*runtime*'s running arena and fetch-on-miss counters, under
+    :class:`SweepReport` field names."""
+    return {
+        "arena_published": runtime.arena.published,
+        "arena_hits": runtime.arena.hits,
+        "payload_fetches": runtime.payload_fetches,
+        "payload_fetch_bytes": runtime.payload_fetch_bytes,
+    }
+
+
+def _since(before: dict, now: dict) -> dict:
+    """The counter deltas from snapshot *before* to snapshot *now*."""
+    return {name: now[name] - before[name] for name in now}
+
+
 def _check_arena_chunk(payload):
     """Shard worker: resolve each referenced kernel by content digest
     (a memo hit after the first dispatch that shipped it, on any
@@ -351,25 +399,19 @@ def _check_arena_chunk(payload):
     brings the repeat of a pair back here, so the worker can seed
     post-evolution verdicts from the exploration it retained itself —
     then check the chunk's pairs against the worker's persistent
-    verdict cache."""
+    verdict cache.  Returns the verdicts and the chunk's engine
+    counter deltas (:func:`_engine_counters` names)."""
     digests, lineage, index_pairs, witnesses = payload
     _injected_fault_delay(len(index_pairs))
     kernels = [kernel_for(digest) for digest in digests]
     for local_index, old_digest in lineage:
         note_lineage(kernel_for(old_digest), kernels[local_index])
-    hits0, misses0 = VERDICTS.stats()
-    warm0 = warm_stats()
+    before = _engine_counters()
     results = [
         check_kernel_pair(kernels[li], kernels[ri], witnesses)
         for li, ri in index_pairs
     ]
-    hits1, misses1 = VERDICTS.stats()
-    warm1 = warm_stats()
-    return results, (
-        hits1 - hits0,
-        misses1 - misses0,
-        {key: warm1[key] - warm0[key] for key in warm1},
-    )
+    return results, _since(before, _engine_counters())
 
 
 def _chunk_payload(chunk, digests, lineage_digests, witnesses):
@@ -414,47 +456,13 @@ def _lineage_root(kernel: Kernel) -> Kernel:
         kernel = old
 
 
-def _empty_stats() -> dict:
-    return {
-        "cache_hits": 0,
-        "cache_misses": 0,
-        "arena_published": 0,
-        "arena_hits": 0,
-        "warm_seeded": 0,
-        "warm_decided": 0,
-        "witness_lazy": 0,
-        "witness_expansions": 0,
-        "eager_oracle": 0,
-        "shard_loads": [],
-        "routing_spilled": 0,
-        "payload_fetches": 0,
-        "payload_fetch_bytes": 0,
-        "chunks": 0,
-        "speculative_dispatches": 0,
-        "speculative_wins": 0,
-        "stolen_chunks": 0,
-        "cancelled_chunks": 0,
-        "inflight_high_water": 0,
-        "undecided": 0,
-    }
-
-
-def _merge_warm_delta(stats: dict, delta: dict) -> None:
-    """Fold one :func:`warm_stats` delta dict into sweep *stats*."""
-    stats["warm_seeded"] += delta["seeded"]
-    stats["warm_decided"] += delta["decided_from_seed"]
-    stats["witness_lazy"] += delta["witness_lazy"]
-    stats["witness_expansions"] += delta["witness_expansions"]
-    stats["eager_oracle"] += delta["eager_oracle"]
-
-
 def _sweep_grid_streaming(
     kernels: list,
     index_pairs: list,
     witnesses: str,
     workers: int | None,
     runtime: EvolutionRuntime | None,
-    stats: dict,
+    report: SweepReport,
     stop_on_first: bool = False,
 ):
     """Check a deduplicated grid, yielding verdicts as they complete.
@@ -468,20 +476,20 @@ def _sweep_grid_streaming(
 
     With *stop_on_first*, the first inconsistent verdict ends the
     sweep: outstanding chunks are cancelled (counted in
-    ``stats["cancelled_chunks"]``) and the remaining pairs stay
-    undecided.  *stats* (an :func:`_empty_stats` dict) is filled in
-    place and is complete once the generator is exhausted or closed.
+    ``report.cancelled_chunks``) and the remaining pairs stay
+    undecided.  The sweep's counters are added to *report* as they
+    happen; they are complete once the generator is exhausted or
+    closed.
     """
     if workers and workers > 1 and len(index_pairs) > 1:
         runtime = runtime or get_runtime()
         yield from _sweep_grid_fanout(
             kernels, index_pairs, witnesses, workers, runtime,
-            stats, stop_on_first,
+            report, stop_on_first,
         )
         return
 
-    hits0, misses0 = VERDICTS.stats()
-    warm0 = warm_stats()
+    before = _engine_counters()
     try:
         for position, (li, ri) in enumerate(index_pairs):
             result = check_kernel_pair(
@@ -491,13 +499,7 @@ def _sweep_grid_streaming(
             if stop_on_first and not result[0]:
                 break
     finally:
-        hits1, misses1 = VERDICTS.stats()
-        warm1 = warm_stats()
-        stats["cache_hits"] += hits1 - hits0
-        stats["cache_misses"] += misses1 - misses0
-        _merge_warm_delta(
-            stats, {key: warm1[key] - warm0[key] for key in warm1}
-        )
+        report.add(_since(before, _engine_counters()))
 
 
 def _sweep_grid_fanout(
@@ -506,16 +508,13 @@ def _sweep_grid_fanout(
     witnesses: str,
     workers: int,
     runtime: EvolutionRuntime,
-    stats: dict,
+    report: SweepReport,
     stop_on_first: bool,
 ):
     """The fan-out half of :func:`_sweep_grid_streaming`: publish the
     grid's kernels once, dispatch through the runtime's pipelined
     scheduler, and yield verdicts chunk by chunk as they complete."""
-    published0 = runtime.arena.published
-    arena_hits0 = runtime.arena.hits
-    fetches0 = runtime.payload_fetches
-    fetch_bytes0 = runtime.payload_fetch_bytes
+    arena_before = _arena_counters(runtime)
     # Evolved participants ship their ancestor too, as a second
     # arena digest: workers re-register the lineage locally and
     # seed post-evolution verdicts from their own retained
@@ -551,22 +550,19 @@ def _sweep_grid_fanout(
             def key_of(pair):
                 return route_digests[pair[0]] + route_digests[pair[1]]
 
-            info: dict = {}
+            dispatch: dict = {}
             grid = runtime.map_streaming(
                 _check_arena_chunk,
                 index_pairs,
                 payload_of,
                 workers,
                 key_of=key_of,
-                info=info,
+                info=dispatch,
             )
             try:
                 stopped = False
-                for positions, chunk_results, extra in grid:
-                    hits, misses, warm_delta = extra
-                    stats["cache_hits"] += hits
-                    stats["cache_misses"] += misses
-                    _merge_warm_delta(stats, warm_delta)
+                for positions, chunk_results, counts in grid:
+                    report.add(counts)
                     for position, result in zip(positions, chunk_results):
                         yield position, result
                         if stop_on_first and not result[0]:
@@ -578,98 +574,60 @@ def _sweep_grid_fanout(
                 # Cancels queued chunks and drains every attempt
                 # before the arena pins are released below.
                 grid.close()
-                stats["shard_loads"] = info["loads"]
-                stats["routing_spilled"] = info["spilled"]
-                stats["chunks"] = info["chunks"]
-                stats["speculative_dispatches"] = info["speculated"]
-                stats["speculative_wins"] = info["spec_wins"]
-                stats["stolen_chunks"] = info["stolen"]
-                stats["cancelled_chunks"] = info["cancelled"]
-                stats["inflight_high_water"] = info["inflight_high_water"]
+                report.add(dispatch)
     finally:
-        stats["arena_published"] = runtime.arena.published - published0
-        stats["arena_hits"] = runtime.arena.hits - arena_hits0
-        stats["payload_fetches"] = runtime.payload_fetches - fetches0
-        stats["payload_fetch_bytes"] = (
-            runtime.payload_fetch_bytes - fetch_bytes0
-        )
+        report.add(_since(arena_before, _arena_counters(runtime)))
 
 
-def _sweep_kernel_grid(
-    kernels: list,
-    index_pairs: list,
+def _sweep_views(
+    view_pairs: list,
     witnesses: str,
     workers: int | None,
-    runtime: EvolutionRuntime | None = None,
-) -> tuple[list, dict]:
-    """Check a deduplicated grid: *kernels* holds one kernel per unique
-    participant view, *index_pairs* the ``(left, right)`` indices into
-    it.  Returns ``(results, stats)`` with results in input order for
-    every worker count and transport; with ``workers > 1``
-    the grid is dispatched through the (given or default) persistent
-    runtime — pipelined completion order is reassembled here, so the
-    batch API's determinism contract is untouched."""
-    stats = _empty_stats()
-    results: list = [None] * len(index_pairs)
-    for position, result in _sweep_grid_streaming(
-        kernels, index_pairs, witnesses, workers, runtime, stats
-    ):
-        results[position] = result
-    return results, stats
+    runtime: EvolutionRuntime | None,
+    report: SweepReport,
+    stop_on_first: bool = False,
+):
+    """Check ``(left, right)`` view pairs through
+    :func:`_sweep_grid_streaming`, yielding ``(position, result)``.
 
-
-def _dedupe_views(pairs, key):
-    """Collapse the participants of *pairs* to unique entries.
-
-    Returns ``(unique, index_pairs)`` where *unique* lists each
-    distinct participant once (first-seen order) and *index_pairs*
-    maps every input pair to its indices into *unique*.
+    Views are deduplicated by object identity and each distinct view's
+    kernel is built once, so a participant that appears in many pairs
+    is interned, published and shipped once per sweep.
     """
-    unique: list = []
-    positions: dict = {}
+    kernels: list = []
+    slots: dict = {}
     index_pairs: list = []
-    for left, right in pairs:
+    for pair in view_pairs:
         indices = []
-        for view in (left, right):
-            view_key = key(view)
-            position = positions.get(view_key)
-            if position is None:
-                position = positions[view_key] = len(unique)
-                unique.append(view)
-            indices.append(position)
+        for view in pair:
+            slot = slots.get(id(view))
+            if slot is None:
+                slot = slots[id(view)] = len(kernels)
+                kernels.append(kernel_of(view))
+            indices.append(slot)
         index_pairs.append(tuple(indices))
-    return unique, index_pairs
+    yield from _sweep_grid_streaming(
+        kernels, index_pairs, witnesses, workers, runtime,
+        report, stop_on_first,
+    )
 
 
-def sweep_serialized_pairs(
+def _sweep_pairs_report(
     pairs,
     witnesses: str = WITNESS_FAILURES,
     workers: int | None = None,
     runtime: EvolutionRuntime | None = None,
-) -> list[tuple[bool, EmptinessWitness | None]]:
-    """Check a batch of ``(left_json, right_json)`` wire-format pairs.
-
-    The entry point for callers that already hold the serialized public
-    views (the negotiation protocol does).  Each *distinct* JSON view
-    is parsed and its kernel built exactly once per sweep — not once
-    per pair it participates in — and the worker path publishes it to
-    the runtime's kernel arena rather than re-shipping it per chunk.
-    """
-    results, _ = _sweep_serialized_stats(pairs, witnesses, workers, runtime)
-    return results
-
-
-def _sweep_serialized_stats(
-    pairs,
-    witnesses: str,
-    workers: int | None,
-    runtime: EvolutionRuntime | None = None,
-) -> tuple[list, dict]:
-    unique, index_pairs = _dedupe_views(list(pairs), key=lambda j: j)
-    kernels = [kernel_of(afsa_from_json(text)) for text in unique]
-    return _sweep_kernel_grid(
-        kernels, index_pairs, witnesses, workers, runtime
-    )
+) -> tuple[list, SweepReport]:
+    """:func:`sweep_pairs` plus its counters: ``(results, report)``,
+    with results in input order and the report's ``outcomes`` empty."""
+    pairs = list(pairs)
+    report = SweepReport(workers=workers or 1)
+    results: list = [None] * len(pairs)
+    for position, result in _sweep_views(
+        pairs, witnesses, workers, runtime, report
+    ):
+        results[position] = result
+    return results, report
 
 
 def sweep_pairs(
@@ -679,6 +637,10 @@ def sweep_pairs(
     runtime: EvolutionRuntime | None = None,
 ) -> list[tuple[bool, EmptinessWitness | None]]:
     """Check a batch of ``(left, right)`` view pairs.
+
+    Each distinct view object's kernel is built once per sweep, and the
+    fan-out path publishes it to the runtime's kernel arena once rather
+    than shipping it per chunk.
 
     Args:
         pairs: sequence of ``(AFSA, AFSA)`` mutual-view pairs.
@@ -694,21 +656,7 @@ def sweep_pairs(
         ``(consistent, witness)`` per pair, **in input order** — worker
         count never changes the result.
     """
-    results, _ = _sweep_pairs_stats(pairs, witnesses, workers, runtime)
-    return results
-
-
-def _sweep_pairs_stats(
-    pairs,
-    witnesses: str,
-    workers: int | None,
-    runtime: EvolutionRuntime | None = None,
-) -> tuple[list, dict]:
-    unique, index_pairs = _dedupe_views(list(pairs), key=id)
-    kernels = [kernel_of(view) for view in unique]
-    return _sweep_kernel_grid(
-        kernels, index_pairs, witnesses, workers, runtime
-    )
+    return _sweep_pairs_report(pairs, witnesses, workers, runtime)[0]
 
 
 def conversing_pairs(choreography) -> list[tuple[str, str]]:
@@ -721,37 +669,6 @@ def conversing_pairs(choreography) -> list[tuple[str, str]]:
         for right in parties[index + 1:]
         if right in choreography.conversation_partners(left)
     ]
-
-
-def _report_from_stats(
-    outcomes: list, workers: int | None, stats: dict
-) -> SweepReport:
-    """Assemble a :class:`SweepReport` from completed outcomes and the
-    sweep's filled :func:`_empty_stats` dict."""
-    return SweepReport(
-        outcomes=outcomes,
-        workers=workers or 1,
-        cache_hits=stats["cache_hits"],
-        cache_misses=stats["cache_misses"],
-        arena_published=stats["arena_published"],
-        arena_hits=stats["arena_hits"],
-        warm_seeded=stats["warm_seeded"],
-        warm_decided=stats["warm_decided"],
-        witness_lazy=stats["witness_lazy"],
-        witness_expansions=stats["witness_expansions"],
-        eager_oracle=stats["eager_oracle"],
-        shard_loads=stats["shard_loads"],
-        routing_spilled=stats["routing_spilled"],
-        payload_fetches=stats["payload_fetches"],
-        payload_fetch_bytes=stats["payload_fetch_bytes"],
-        chunks=stats["chunks"],
-        speculative_dispatches=stats["speculative_dispatches"],
-        speculative_wins=stats["speculative_wins"],
-        stolen_chunks=stats["stolen_chunks"],
-        cancelled_chunks=stats["cancelled_chunks"],
-        inflight_high_water=stats["inflight_high_water"],
-        undecided=stats["undecided"],
-    )
 
 
 class SweepStream:
@@ -816,13 +733,11 @@ def sweep_choreography_streaming(
             )
             for left, right in pairs
         ]
-        unique, index_pairs = _dedupe_views(view_pairs, key=id)
-        kernels = [kernel_of(view) for view in unique]
-        stats = _empty_stats()
+        report = SweepReport(workers=workers or 1)
         decided: dict = {}
-        for position, (consistent, witness) in _sweep_grid_streaming(
-            kernels, index_pairs, witnesses, workers, runtime,
-            stats, stop_on_first_inconsistency,
+        for position, (consistent, witness) in _sweep_views(
+            view_pairs, witnesses, workers, runtime,
+            report, stop_on_first_inconsistency,
         ):
             left, right = pairs[position]
             outcome = PairOutcome(
@@ -831,9 +746,9 @@ def sweep_choreography_streaming(
             )
             decided[position] = outcome
             yield outcome
-        ordered = [decided[position] for position in sorted(decided)]
-        stats["undecided"] = len(pairs) - len(ordered)
-        return _report_from_stats(ordered, workers, stats)
+        report.outcomes = [decided[position] for position in sorted(decided)]
+        report.undecided = len(pairs) - len(report.outcomes)
+        return report
 
     return SweepStream(generate())
 

@@ -376,7 +376,7 @@ def classify_fleet(
         with runtime.published(kernels) as digests:
             new_digest = digests[0]
             old_digest = digests[1] if old_model is not None else None
-            ordered_results, _, _ = runtime.map_chunked(
+            ordered_results = runtime.map_chunked(
                 _classify_arena_chunk,
                 ordered,
                 lambda chunk: (

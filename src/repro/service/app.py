@@ -816,18 +816,10 @@ class ChoreoService:
                             ),
                         }
                     elif kind == "report":
-                        report = value
                         yield {
-                            "summary": {
-                                "consistent": report.consistent,
-                                "pairs": (
-                                    len(report.outcomes) + report.undecided
-                                ),
-                                "failures": len(report.failures()),
-                                "cache_hits": report.cache_hits,
-                                "cache_misses": report.cache_misses,
-                                "undecided": report.undecided,
-                            }
+                            "summary": value.totals(
+                                "cache_hits", "cache_misses"
+                            )
                         }
                         return
                     else:
@@ -884,19 +876,24 @@ class ChoreoService:
         migrate = bool(body.get("migrate", False))
         choreography = session.choreography
         with self.registry.admit(tenant):
-            version_before = choreography.current_version(party)
 
             def compute():
-                return session.engine.apply_private_change(
+                # Both versions are read on the engine thread, around
+                # the step itself: another evolve of the same party may
+                # commit between this request's dispatch and its reply.
+                before = choreography.current_version(party)
+                report = session.engine.apply_private_change(
                     party,
                     model,
                     auto_adapt=auto_adapt,
                     commit=commit,
                     migrate_instances=migrate,
                 )
+                return before, choreography.current_version(party), report
 
-            report = await self._run_engine(compute)
-        version_after = choreography.current_version(party)
+            version_before, version_after, report = await self._run_engine(
+                compute
+            )
         return 200, {
             "party": party,
             "public_changed": report.public_changed,
@@ -949,15 +946,18 @@ class ChoreoService:
         with self.registry.admit(tenant):
 
             def compute():
+                # The version the instances are spawned at, read on the
+                # engine thread: a later commit must not relabel them.
+                version = choreography.current_version(party)
                 choreography.spawn_fleet(
                     party, instances, seed=seed, distinct=distinct
                 )
-                return len(choreography.instances)
+                return version, len(choreography.instances)
 
-            total = await self._run_engine(compute)
+            version, total = await self._run_engine(compute)
         return 200, {
             "party": party,
-            "version": choreography.current_version(party),
+            "version": version,
             "spawned": instances,
             "instances": total,
         }

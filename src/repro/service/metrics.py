@@ -150,6 +150,9 @@ def render_metrics(
         warm: :func:`repro.afsa.lazy.warm_stats` (cross-version seeds,
             witness-path counters).
         gauges: extra service gauges (tenants, choreographies, uptime).
+
+    The input dicts are indexed strictly: a renamed or dropped key
+    fails the render instead of exporting 0.
     """
     lines: list[str] = []
 
@@ -247,110 +250,105 @@ def render_metrics(
 
     counter(
         "repro_runtime_arena_published_total",
-        runtime_stats.get("published", 0),
+        runtime_stats["published"],
         "Kernel payloads published into the kernel arena.",
     )
     counter(
         "repro_runtime_arena_published_bytes_total",
-        runtime_stats.get("published_bytes", 0),
+        runtime_stats["published_bytes"],
         "Bytes published into the kernel arena.",
     )
     counter(
         "repro_runtime_arena_hits_total",
-        runtime_stats.get("arena_hits", 0),
+        runtime_stats["arena_hits"],
         "Arena publishes answered from an already published entry.",
     )
     gauge(
         "repro_runtime_arena_segments",
-        runtime_stats.get("arena_entries", 0),
+        runtime_stats["arena_entries"],
         "Kernel arena entries currently published (one per content "
         "digest).",
     )
     gauge(
         "repro_runtime_pool_size",
-        runtime_stats.get("pool_size", 0),
+        runtime_stats["pool_size"],
         "Worker shards currently running.",
     )
     counter(
         "repro_runtime_pool_starts_total",
-        runtime_stats.get("pool_starts", 0),
+        runtime_stats["pool_starts"],
         "Times the worker fleet was grown or started.",
     )
     counter(
         "repro_runtime_dispatches_total",
-        runtime_stats.get("dispatches", 0),
+        runtime_stats["dispatches"],
         "Fan-out dispatches through the persistent runtime.",
     )
     counter(
-        "repro_runtime_tasks_total",
-        runtime_stats.get("tasks", 0),
-        "Worker tasks shipped across all dispatches.",
-    )
-    counter(
         "repro_runtime_arena_dedup_hits_total",
-        runtime_stats.get("arena_dedup_hits", 0),
+        runtime_stats["arena_dedup_hits"],
         "Publishes deduplicated onto an existing content digest.",
     )
     counter(
         "repro_runtime_routed_tasks_total",
-        runtime_stats.get("routed_tasks", 0),
+        runtime_stats["routed_tasks"],
         "Work items placed on shards by the chunk router.",
     )
     counter(
         "repro_runtime_routing_spilled_total",
-        runtime_stats.get("routing_spilled", 0),
+        runtime_stats["routing_spilled"],
         "Items spilled past their top rendezvous shard by the "
         "hot-shard load cap.",
     )
     counter(
         "repro_runtime_payload_fetches_total",
-        runtime_stats.get("payload_fetches", 0),
+        runtime_stats["payload_fetches"],
         "Kernel payloads served to shards on fetch-on-miss.",
     )
     counter(
         "repro_runtime_payload_fetch_bytes_total",
-        runtime_stats.get("payload_fetch_bytes", 0),
+        runtime_stats["payload_fetch_bytes"],
         "Payload bytes shipped to shards on fetch-on-miss.",
     )
     counter(
         "repro_runtime_chunks_dispatched_total",
-        runtime_stats.get("chunks_dispatched", 0),
+        runtime_stats["chunks_dispatched"],
         "Micro-chunks dispatched by the pipelined scheduler "
         "(primary and speculative attempts).",
     )
     counter(
         "repro_runtime_speculative_dispatches_total",
-        runtime_stats.get("speculative_dispatches", 0),
+        runtime_stats["speculative_dispatches"],
         "Backup attempts launched against straggling shards.",
     )
     counter(
         "repro_runtime_speculative_wins_total",
-        runtime_stats.get("speculative_wins", 0),
+        runtime_stats["speculative_wins"],
         "Chunks whose backup attempt finished before the original.",
     )
     counter(
         "repro_runtime_stolen_chunks_total",
-        runtime_stats.get("stolen_chunks", 0),
+        runtime_stats["stolen_chunks"],
         "Queued chunks re-routed off a straggling shard's backlog.",
     )
     counter(
         "repro_runtime_cancelled_chunks_total",
-        runtime_stats.get("cancelled_chunks", 0),
+        runtime_stats["cancelled_chunks"],
         "Chunks cancelled by fail-fast or an abandoned stream.",
     )
     gauge(
         "repro_runtime_inflight",
-        runtime_stats.get("inflight", 0),
+        runtime_stats["inflight"],
         "Chunk attempts currently in flight across the fleet.",
     )
     gauge(
         "repro_runtime_inflight_high_water",
-        runtime_stats.get("inflight_high_water", 0),
+        runtime_stats["inflight_high_water"],
         "Highest concurrent in-flight chunk-attempt count observed.",
     )
 
     name = "repro_runtime_chunk_pairs"
-    chunk_hist = runtime_stats.get("chunk_size_hist") or {}
+    chunk_hist = runtime_stats["chunk_size_hist"]
     lines.append(
         f"# HELP {name} Pairs per dispatched chunk "
         "(pipelined scheduler chunk-size histogram)."
@@ -362,51 +360,51 @@ def render_metrics(
     ):
         cumulative += chunk_hist[bound]
         lines.append(f'{name}_bucket{{le="{bound}"}} {cumulative}')
-    cumulative += chunk_hist.get("inf", 0)
+    cumulative += chunk_hist["inf"]
     lines.append(f'{name}_bucket{{le="+Inf"}} {cumulative}')
     lines.append(
-        f"{name}_sum {runtime_stats.get('chunk_pairs_total', 0)}"
+        f"{name}_sum {runtime_stats['chunk_pairs_total']}"
     )
     lines.append(f"{name}_count {cumulative}")
 
     gauge(
         "repro_verdict_cache_entries",
-        cache_info.get("size", 0),
+        cache_info["size"],
         "Entries in the shared pair-verdict cache.",
     )
     counter(
         "repro_verdict_cache_hits_total",
-        cache_info.get("hits", 0),
+        cache_info["hits"],
         "Verdict-cache hits (serial path of this process).",
     )
     counter(
         "repro_verdict_cache_misses_total",
-        cache_info.get("misses", 0),
+        cache_info["misses"],
         "Verdict-cache misses (serial path of this process).",
     )
     counter(
         "repro_warm_seeded_total",
-        warm.get("seeded", 0),
+        warm["seeded"],
         "Post-evolution verdicts seeded from a retained exploration.",
     )
     counter(
         "repro_warm_decided_from_seed_total",
-        warm.get("decided_from_seed", 0),
+        warm["decided_from_seed"],
         "Seeded verdicts decided from the translated certificate alone.",
     )
     counter(
         "repro_witness_lazy_total",
-        warm.get("witness_lazy", 0),
+        warm["witness_lazy"],
         "Witnesses streamed from retained lazy explorations.",
     )
     counter(
         "repro_witness_expansions_total",
-        warm.get("witness_expansions", 0),
+        warm["witness_expansions"],
         "On-demand frontier expansions during witness extraction.",
     )
     counter(
         "repro_eager_oracle_total",
-        warm.get("eager_oracle", 0),
+        warm["eager_oracle"],
         "Eager-oracle invocations (must stay zero in production).",
     )
 

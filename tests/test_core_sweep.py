@@ -11,6 +11,7 @@ import pytest
 from repro.afsa.emptiness import is_consistent
 from repro.core.choreography import Choreography
 from repro.core.negotiation import ChangeNegotiation, PartnerAgent
+from repro.core.runtime import get_runtime
 from repro.core.sweep import (
     WITNESS_ALL,
     WITNESS_FAILURES,
@@ -19,7 +20,6 @@ from repro.core.sweep import (
     conversing_pairs,
     sweep_choreography,
     sweep_pairs,
-    sweep_serialized_pairs,
 )
 from repro.scenario.procurement import (
     accounting_private,
@@ -219,7 +219,6 @@ class TestWitnessPoliciesUnderWorkers:
     def test_empty_pair_grid(self):
         for workers in (None, 1, 4):
             assert sweep_pairs([], workers=workers) == []
-            assert sweep_serialized_pairs([], workers=workers) == []
 
     def test_single_pair_grid_with_workers(self):
         pairs = _mixed_grid()[:1]
@@ -236,3 +235,41 @@ class TestNegotiationSweep:
         )
         assert negotiation.check_consistency()
         assert negotiation.check_consistency(workers=2)
+
+    @pytest.mark.parametrize(
+        "accounting, consistent",
+        [
+            (accounting_private, True),
+            (accounting_private_variant_change, False),
+        ],
+    )
+    def test_three_party_fan_out_parses_each_wire_text_once(
+        self, monkeypatch, accounting, consistent
+    ):
+        """The procurement grid has two conversing pairs, so
+        ``workers=2`` really fans out; it must agree with the serial
+        path and parse each distinct wire text exactly once."""
+        import repro.core.negotiation as negotiation_module
+
+        negotiation = ChangeNegotiation(
+            [
+                PartnerAgent(buyer_private()),
+                PartnerAgent(logistics_private()),
+                PartnerAgent(accounting()),
+            ]
+        )
+        assert negotiation.check_consistency() is consistent
+        parsed = []
+        parse = negotiation_module.afsa_from_json
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(
+            negotiation_module, "afsa_from_json", counting_parse
+        )
+        dispatches = get_runtime().dispatches
+        assert negotiation.check_consistency(workers=2) is consistent
+        assert get_runtime().dispatches == dispatches + 1
+        assert len(parsed) == len(set(parsed)) == 4

@@ -10,13 +10,21 @@ fails just like an undocumented addition.
 
 from __future__ import annotations
 
+import asyncio
 import re
 from pathlib import Path
 
 from repro.core.sweep import SweepReport
-from repro.service.app import ROUTES
+from repro.service.app import ROUTES, ChoreoService
+from repro.service.http import Request
 
 DOCS = Path(__file__).parent.parent / "docs" / "API.md"
+README = Path(__file__).parent.parent / "README.md"
+
+#: A metric name as the docs write it.  A ``{a,b}`` brace list inside
+#: the name stands for each alternative; a brace group that ends the
+#: name is a label set and is not part of it.
+METRIC = re.compile(r"repro_(?:[a-z0-9_]|\{[a-z0-9_,]+\}(?=[a-z0-9_]))+")
 
 #: The docs' endpoint headings: ``### METHOD /path``.
 HEADING = re.compile(
@@ -96,3 +104,72 @@ def test_sweep_counters_are_documented():
     counter fails until docs/API.md follows."""
     served = set(SweepReport().as_dict()["counters"])
     assert documented_sweep_counters() == served
+
+
+def _expand(name: str) -> set:
+    """*name* with its first brace list expanded, recursively."""
+    match = re.search(r"\{([a-z0-9_,]+)\}", name)
+    if match is None:
+        return {name}
+    return set().union(
+        *(
+            _expand(name[: match.start()] + part + name[match.end():])
+            for part in match.group(1).split(",")
+        )
+    )
+
+
+def documented_metric_names() -> set:
+    """Every ``repro_*`` name in docs/API.md and in README's metrics
+    table (its ``| `repro_…` |`` rows)."""
+    table = "\n".join(
+        line
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("| `repro_")
+    )
+    names: set = set()
+    for text in (DOCS.read_text(encoding="utf-8"), table):
+        for written in METRIC.findall(text):
+            names |= _expand(written)
+    return names
+
+
+def served_metric_names() -> set:
+    """The sample and ``# TYPE`` names of a live ``/metrics`` render,
+    taken after one request so the latency histogram has samples."""
+
+    def get(path: str) -> Request:
+        return Request(
+            method="GET", path=path, query="", headers={}, body=b"",
+            keep_alive=True,
+        )
+
+    async def scrape() -> str:
+        service = ChoreoService()
+        try:
+            await service.dispatch(get("/healthz"))
+            status, (_, text) = await service.dispatch(get("/metrics"))
+            assert status == 200
+            return text
+        finally:
+            service.close()
+
+    names: set = set()
+    for line in asyncio.run(scrape()).splitlines():
+        if line.startswith("# TYPE "):
+            names.add(line.split()[2])
+        elif line and not line.startswith("#"):
+            names.add(re.match(r"[a-z_:][a-z0-9_:]*", line).group())
+    return names
+
+
+def test_documented_metric_names_are_served():
+    """Every metric name the docs give is one ``/metrics`` serves — a
+    renamed, dropped or misspelled series fails until the docs follow."""
+    documented = documented_metric_names()
+    assert "repro_verdict_cache_misses_total" in documented
+    assert "repro_requests_total" in documented
+    stale = documented - served_metric_names()
+    assert not stale, (
+        f"metric names documented but not served: {sorted(stale)}"
+    )

@@ -36,12 +36,13 @@ from repro.core.runtime import (
 )
 from repro.core.sweep import (
     WITNESS_ALL,
+    WITNESS_FAILURES,
     WITNESS_NONE,
+    SweepReport,
     _check_arena_chunk,
     _chunk_payload,
-    _empty_stats,
     _sweep_grid_streaming,
-    _sweep_pairs_stats,
+    _sweep_pairs_report,
     sweep_choreography,
     sweep_choreography_streaming,
     sweep_pairs,
@@ -77,8 +78,8 @@ def _busier_shard(pairs) -> int:
     share of *pairs* on a 2-shard fleet (routing is deterministic
     within a process, so a fresh runtime places them the same way)."""
     with EvolutionRuntime() as rt:
-        _, stats = _sweep_pairs_stats(pairs, WITNESS_NONE, 2, rt)
-    loads = stats["shard_loads"]
+        _, report = _sweep_pairs_report(pairs, WITNESS_NONE, 2, rt)
+    loads = report.shard_loads
     return loads.index(max(loads))
 
 
@@ -89,7 +90,7 @@ def _chunked_verdicts(rt, pairs, workers):
     kernels = [kernel_of(afsa) for pair in pairs for afsa in pair]
     index_pairs = [(2 * i, 2 * i + 1) for i in range(len(pairs))]
     with rt.published(kernels) as digests:
-        results, _, _ = rt.map_chunked(
+        results = rt.map_chunked(
             _check_arena_chunk,
             index_pairs,
             lambda chunk: _chunk_payload(chunk, digests, {}, WITNESS_NONE),
@@ -162,20 +163,20 @@ class TestStragglerFaultInjection:
         monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:{delay_s}")
         with EvolutionRuntime(window=1, **FORCED_SPECULATION) as rt:
             start = time.monotonic()
-            pipelined, stats = _sweep_pairs_stats(
+            pipelined, report = _sweep_pairs_report(
                 pairs, WITNESS_ALL, 2, rt
             )
             pipelined_elapsed = time.monotonic() - start
 
         # The barrier's analytic floor: the slow shard holds at least
         # 6 of the 12 pairs, and a barrier waits for all of them.
-        assert stats["shard_loads"][slow] >= 6
-        barrier_floor = stats["shard_loads"][slow] * delay_s
-        assert stats["speculative_dispatches"] >= 1
-        assert stats["speculative_wins"] >= 1
+        assert report.shard_loads[slow] >= 6
+        barrier_floor = report.shard_loads[slow] * delay_s
+        assert report.speculative_dispatches >= 1
+        assert report.speculative_wins >= 1
         # Straggler work migrated: stolen from the backlog or won by a
         # backup attempt — the slow shard never runs its full share.
-        assert stats["stolen_chunks"] + stats["speculative_wins"] >= 2
+        assert report.stolen_chunks + report.speculative_wins >= 2
         assert pipelined_elapsed <= 0.5 * barrier_floor
         assert _verdict_key(pipelined) == _verdict_key(serial)
 
@@ -208,15 +209,15 @@ class TestCancellation:
             for afsa in pair
         ]
         index_pairs = [(2 * i, 2 * i + 1) for i in range(8)]
-        stats = _empty_stats()
+        report = SweepReport()
         with EvolutionRuntime(window=1, speculate=False) as rt:
             grid = _sweep_grid_streaming(
-                kernels, index_pairs, WITNESS_NONE, 2, rt, stats
+                kernels, index_pairs, WITNESS_NONE, 2, rt, report
             )
             next(grid)
             grid.close()
             assert rt.inflight == 0
-        assert stats["cancelled_chunks"] >= 1
+        assert report.cancelled_chunks >= 1
         assert rt.cancelled_chunks >= 1
 
     def test_serial_fail_fast_reports_undecided(self):
@@ -297,6 +298,71 @@ class TestCancellation:
         ] == [
             (o.left, o.right, o.consistent) for o in batch.outcomes
         ]
+
+
+class TestCounterFold:
+    """Each counter is counted once, where it happens, and folded into
+    the sweep's one record: the serial and fanned paths report the same
+    engine counts, and the runtime's scheduler totals are exactly the
+    sum of the dispatches' records."""
+
+    @pytest.mark.parametrize(
+        "policy, seed", [(WITNESS_FAILURES, 7300), (WITNESS_ALL, 7500)]
+    )
+    def test_cold_grid_counts_agree_serial_and_fanned(self, policy, seed):
+        pairs = _random_pairs(10, seed=seed)
+        # Fan out first: the shards fork from a parent that has not
+        # checked these pairs, so both sweeps start cold.
+        with EvolutionRuntime() as rt:
+            fanned_results, fanned = _sweep_pairs_report(
+                pairs, policy, 2, rt
+            )
+        serial_results, serial = _sweep_pairs_report(pairs, policy)
+        assert _verdict_key(fanned_results) == _verdict_key(serial_results)
+        assert fanned.cache_misses == serial.cache_misses == len(pairs)
+        assert fanned.witness_lazy == serial.witness_lazy > 0
+
+    def test_runtime_totals_are_the_sum_of_sweep_reports(
+        self, monkeypatch
+    ):
+        slow = _busier_shard(_random_pairs(12, seed=4200))
+        monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:0.05")
+        reports = []
+        with EvolutionRuntime(
+            window=1, spill_factor=1.0, **FORCED_SPECULATION
+        ) as rt:
+            for seed in (4200, 8100, 8300):
+                _, report = _sweep_pairs_report(
+                    _random_pairs(12, seed=seed), WITNESS_NONE, 2, rt
+                )
+                reports.append(report)
+            kernels = [
+                kernel_of(afsa)
+                for pair in _random_pairs(8, seed=8500, states=6)
+                for afsa in pair
+            ]
+            abandoned = SweepReport()
+            grid = _sweep_grid_streaming(
+                kernels,
+                [(2 * i, 2 * i + 1) for i in range(8)],
+                WITNESS_NONE, 2, rt, abandoned,
+            )
+            next(grid)
+            grid.close()
+            reports.append(abandoned)
+        assert abandoned.cancelled_chunks >= 1
+        assert sum(report.speculative_dispatches for report in reports) >= 1
+        assert sum(report.routing_spilled for report in reports) >= 1
+        for name in (
+            "speculative_dispatches",
+            "speculative_wins",
+            "stolen_chunks",
+            "cancelled_chunks",
+            "routing_spilled",
+        ):
+            assert getattr(rt, name) == sum(
+                getattr(report, name) for report in reports
+            ), name
 
 
 class TestTcpPipelining:
@@ -407,18 +473,19 @@ class TestSchedulerCounters:
     def test_stats_and_describe_carry_scheduler_counters(self):
         pairs = _random_pairs(6, seed=55)
         with EvolutionRuntime() as rt:
-            _, stats = _sweep_pairs_stats(pairs, WITNESS_NONE, 2, rt)
-            assert stats["chunks"] >= 2
-            assert stats["inflight_high_water"] >= 1
+            _, report = _sweep_pairs_report(pairs, WITNESS_NONE, 2, rt)
+            assert report.chunks >= 2
+            assert report.inflight_high_water >= 1
             runtime_stats = rt.stats()
-            assert runtime_stats["chunks_dispatched"] >= stats["chunks"]
+            assert runtime_stats["chunks_dispatched"] >= report.chunks
             assert runtime_stats["inflight"] == 0
             hist = runtime_stats["chunk_size_hist"]
-            assert sum(hist.values()) >= stats["chunks"]
+            assert sum(hist.values()) >= report.chunks
             assert runtime_stats["chunk_pairs_total"] >= len(pairs)
             assert "scheduler: " in rt.describe()
 
     def test_metrics_exposition_includes_scheduler_series(self):
+        from repro.afsa.lazy import VERDICTS
         from repro.service.metrics import ServiceMetrics, render_metrics
 
         with EvolutionRuntime() as rt:
@@ -427,7 +494,7 @@ class TestSchedulerCounters:
                 workers=2, runtime=rt,
             )
             text = render_metrics(
-                ServiceMetrics(), rt.stats(), {}, {
+                ServiceMetrics(), rt.stats(), VERDICTS.info(), {
                     "seeded": 0, "decided_from_seed": 0,
                     "witness_lazy": 0, "witness_expansions": 0,
                     "eager_oracle": 0,

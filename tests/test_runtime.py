@@ -46,7 +46,7 @@ from repro.core.transport import ShardServer
 from repro.core.sweep import (
     WITNESS_ALL,
     WITNESS_NONE,
-    _sweep_pairs_stats,
+    _sweep_pairs_report,
     sweep_choreography,
     sweep_pairs,
 )
@@ -428,15 +428,15 @@ class TestInvariance:
             random_afsa(seed=307, states=20, labels=4),
         )
         with EvolutionRuntime() as rt:
-            _sweep_pairs_stats(
+            _sweep_pairs_report(
                 [(left, right), filler], WITNESS_NONE, 2, rt
             )
             note_lineage(left_kernel, kernel_of(evolved))
-            results, stats = _sweep_pairs_stats(
+            results, report = _sweep_pairs_report(
                 [(evolved, right), filler], WITNESS_NONE, 2, rt
             )
-        assert stats["warm_seeded"] >= 1
-        assert stats["warm_decided"] >= 1
+        assert report.warm_seeded >= 1
+        assert report.warm_decided >= 1
         serial = sweep_pairs(
             [(evolved, right), filler], witnesses=WITNESS_NONE
         )
@@ -475,15 +475,15 @@ class TestRoutingAffinity:
             random_afsa(seed=691, states=8, labels=4),
         )
         with EvolutionRuntime() as rt:
-            _sweep_pairs_stats(base, WITNESS_NONE, 2, rt)  # cold
-            _, repeat = _sweep_pairs_stats(base, WITNESS_NONE, 2, rt)
-            _, shifted = _sweep_pairs_stats(
+            _sweep_pairs_report(base, WITNESS_NONE, 2, rt)  # cold
+            _, repeat = _sweep_pairs_report(base, WITNESS_NONE, 2, rt)
+            _, shifted = _sweep_pairs_report(
                 [extra] + base, WITNESS_NONE, 2, rt
             )
-        assert repeat["cache_hits"] == 6
+        assert repeat.cache_hits == 6
         # Every repeated pair still hits its shard's cache: at least
         # as warm as the identical-repeat case.
-        assert shifted["cache_hits"] >= repeat["cache_hits"]
+        assert shifted.cache_hits >= repeat.cache_hits
 
 
 class TestFleetClassifierDelta:

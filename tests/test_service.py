@@ -15,6 +15,7 @@ import asyncio
 import json
 import random
 import threading
+import time
 from unittest import mock
 
 import pytest
@@ -23,6 +24,11 @@ from repro.afsa.lazy import VERDICTS
 from repro.bpel.dsl import process_from_dsl, process_to_dsl
 from repro.core.sweep import WITNESS_ALL, WITNESS_NONE, check_pair
 from repro.errors import ChangeError
+from repro.scenario.procurement import (
+    accounting_private_variant_change,
+    buyer_private,
+    logistics_private,
+)
 from repro.service.app import ChoreoService, ROUTES
 from repro.service.coalesce import Coalescer
 from repro.service.http import HttpError, Request
@@ -1249,6 +1255,67 @@ class TestStreamingSweep:
         run(main())
 
 
+    def test_fail_fast_pairs_count_the_whole_grid(self):
+        """A fail-fast sweep reports the same ``pairs`` (decided plus
+        undecided) in the body and in the streamed summary."""
+
+        async def main():
+            service = ChoreoService()
+            try:
+                await service.dispatch(
+                    request("POST", "/tenants", {"tenant": "acme"})
+                )
+                status, _ = await service.dispatch(
+                    request(
+                        "POST",
+                        "/choreographies",
+                        {
+                            "tenant": "acme",
+                            "name": "procurement",
+                            "processes": [
+                                process_to_dsl(build())
+                                for build in (
+                                    buyer_private,
+                                    accounting_private_variant_change,
+                                    logistics_private,
+                                )
+                            ],
+                        },
+                    )
+                )
+                assert status == 200
+                body = {
+                    "tenant": "acme",
+                    "choreography": "procurement",
+                    "stop_on_first_inconsistency": True,
+                }
+                status, report = await service.dispatch(
+                    request("POST", "/sweep", body)
+                )
+                assert status == 200
+                status, payload = await service.dispatch(
+                    request("POST", "/sweep", {**body, "stream": True})
+                )
+                assert status == 200
+                lines = []
+                async for piece in payload.generator:
+                    lines.extend(
+                        json.loads(line)
+                        for line in piece.decode().splitlines()
+                        if line.strip()
+                    )
+                summary = lines[-1]["summary"]
+                for totals in (report, summary):
+                    assert totals["pairs"] == 2
+                    assert totals["failures"] == 1
+                    assert totals["undecided"] == 1
+                    assert totals["consistent"] is False
+            finally:
+                service.close()
+
+        run(main())
+
+
 class TestEvolutionEndpoints:
     def test_party_mismatch_is_400(self):
         async def main():
@@ -1355,6 +1422,81 @@ class TestEvolutionEndpoints:
                 assert status == 200
                 assert report["committed"] is True
                 assert report["old_version"] != report["new_version"]
+            finally:
+                service.close()
+
+        run(main())
+
+
+    def test_gathered_evolves_report_the_version_chain(self):
+        """Two committing evolves of one party, gathered: each reports
+        the versions around its own step, read on the engine thread."""
+
+        async def main():
+            service = await make_service()
+            try:
+                replies = await asyncio.gather(
+                    *(
+                        service.dispatch(
+                            request("POST", "/evolve", evolve_body(CLIENT))
+                        )
+                        for _ in range(2)
+                    )
+                )
+                assert [status for status, _ in replies] == [200, 200]
+                assert all(report["committed"] for _, report in replies)
+                assert {
+                    (report["old_version"], report["new_version"])
+                    for _, report in replies
+                } == {("C#v1", "C#v2"), ("C#v2", "C#v3")}
+            finally:
+                service.close()
+
+        run(main())
+
+    def test_gathered_fleet_reports_its_instances_version(self):
+        """A /fleet gathered with a committing /evolve reports the
+        version its instances carry, even when the evolve commits
+        before the loop builds the fleet's reply."""
+
+        async def main():
+            service = await make_service()
+            choreography = service.registry.sessions[
+                ("acme", "shop")
+            ].choreography
+
+            async def hold_loop_until_commit():
+                # Blocks the loop, without awaiting, until the evolve
+                # queued behind the fleet has committed on the engine
+                # thread: the fleet's reply is built after the commit.
+                deadline = time.monotonic() + 30
+                while choreography.current_version("C") == "C#v1":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+
+            try:
+                (status, fleet), (_, evolved), _ = await asyncio.gather(
+                    service.dispatch(
+                        request(
+                            "POST",
+                            "/fleet",
+                            {
+                                "tenant": "acme",
+                                "choreography": "shop",
+                                "party": "C",
+                                "instances": 20,
+                            },
+                        )
+                    ),
+                    service.dispatch(
+                        request("POST", "/evolve", evolve_body(CLIENT))
+                    ),
+                    hold_loop_until_commit(),
+                )
+                assert status == 200
+                assert evolved["new_version"] == "C#v2"
+                assert choreography.instances.versions() == ["C#v1"]
+                assert fleet["version"] == "C#v1"
             finally:
                 service.close()
 

@@ -47,7 +47,7 @@ _SRC = str(Path(__file__).resolve().parent.parent / "src")
 _PRELUDE = """
 import json, os, signal, sys, threading, time
 from repro.core.runtime import EvolutionRuntime
-from repro.core.sweep import WITNESS_ALL, _sweep_pairs_stats, sweep_pairs
+from repro.core.sweep import WITNESS_ALL, _sweep_pairs_report, sweep_pairs
 from repro.workload.generator import random_afsa
 
 PAIRS = [
@@ -91,7 +91,7 @@ with EvolutionRuntime(speculate=False) as rt:
     before = shard_pids()
     threading.Timer(0.2, os.kill, (before[0], signal.SIGKILL)).start()
     start = time.monotonic()
-    fanned, stats = _sweep_pairs_stats(PAIRS, WITNESS_ALL, 2, rt)
+    fanned, report = _sweep_pairs_report(PAIRS, WITNESS_ALL, 2, rt)
     elapsed = time.monotonic() - start
     inflight = rt.inflight
     size = rt.pool_size
@@ -101,7 +101,7 @@ with EvolutionRuntime(speculate=False) as rt:
         "identical": key(fanned) == key(serial),
         "again_identical": key(again) == key(serial[:4]),
         "elapsed": elapsed, "inflight": inflight,
-        "loads": stats["shard_loads"],
+        "loads": report.shard_loads,
         "size_before": size, "size_after": rt.pool_size,
         "victim": before[0], "before": before, "after": shard_pids(),
     }), flush=True)
