@@ -12,8 +12,10 @@ in-flight chunks speculatively — latency approaches the *mean*.
 Rows (all correctness checks run inside the bench):
 
 * **skewed-grid sweep, pipelined+speculative** — the busier shard is
-  slowed by the ``REPRO_SWEEP_FAULT`` test hook and speculation is
-  forced.  The ≥2× speedup over the barrier's analytic floor (pairs
+  forked while the sweep's chunk function sleeps per pair first (the
+  parent and the other shard keep the real one), and the scheduler's
+  constants force speculation and a window of one for the row's
+  duration.  The ≥2× speedup over the barrier's analytic floor (pairs
   routed to the slow shard × the injected per-pair delay) is asserted
   in-bench, as is verdict identity with the serial sweep — so the
   committed JSON is also the acceptance claim's record;
@@ -24,12 +26,14 @@ Rows (all correctness checks run inside the bench):
   measurement" record.
 """
 
-from time import perf_counter
+from time import perf_counter, sleep
 
 import pytest
 
 from bench_support import FANOUT_CURVE
 
+from repro.core import runtime as runtime_module
+from repro.core import sweep as sweep_module
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import WITNESS_NONE, _sweep_pairs_report, sweep_pairs
 from repro.workload.generator import random_afsa
@@ -46,8 +50,13 @@ FAULT_S = 0.05
 #: The acceptance claim: pipelined+speculative ≥2× under the barrier's
 #: analytic floor.
 ASSERT_SPEEDUP = 2.0
-#: Runtime options that speculate on any chunk older than 2 ms.
-FORCED_SPECULATION = {"speculate_multiple": 0.0, "speculate_floor_s": 0.002}
+#: Scheduler constants for the skew row: a window of one, and a backup
+#: for any chunk older than 2 ms.
+SKEW_SCHEDULER = {
+    "_WINDOW": 1,
+    "_SPECULATE_MULTIPLE": 0.0,
+    "_SPECULATE_FLOOR_S": 0.002,
+}
 FANOUT_WORKERS = [1, 2, 4]
 
 
@@ -85,6 +94,27 @@ def _busier_shard(grid):
     return loads.index(max(loads)), max(loads)
 
 
+#: The sweep's real chunk function.
+CHECK = sweep_module._check_arena_chunk
+
+
+def _slow_check(payload):
+    """The sweep's chunk function, FAULT_S slower per pair."""
+    sleep(FAULT_S * len(payload[2]))
+    return CHECK(payload)
+
+
+def _fork_with_slow_shard(runtime, slow):
+    """Fork *runtime*'s shards in slot order; slot *slow* forks while
+    the sweep's chunk function is :func:`_slow_check`, so that shard
+    alone runs slow for its whole life."""
+    for slot in range(SWEEP_WORKERS):
+        with pytest.MonkeyPatch.context() as patch:
+            if slot == slow:
+                patch.setattr(sweep_module, "_check_arena_chunk", _slow_check)
+            runtime.ensure_pool(slot + 1)
+
+
 def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
     """Pipelined micro-chunks + stealing + forced speculation under a
     slow shard: latency is bounded by a couple of chunk times.  The ≥2×
@@ -94,9 +124,11 @@ def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
     serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
     slow, slow_pairs = _busier_shard(grid)
     fault = f"{slow}:{FAULT_S}"
-    monkeypatch.setenv("REPRO_SWEEP_FAULT", fault)
-    runtime = EvolutionRuntime(window=1, **FORCED_SPECULATION)
+    for name, value in SKEW_SCHEDULER.items():
+        monkeypatch.setattr(runtime_module, name, value)
+    runtime = EvolutionRuntime()
     try:
+        _fork_with_slow_shard(runtime, slow)
         results = _sweep(runtime, grid)
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
 
@@ -130,14 +162,13 @@ def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", FANOUT_WORKERS)
-def test_scaling_pipeline_fanout(benchmark, monkeypatch, workers):
+def test_scaling_pipeline_fanout(benchmark, workers):
     """The multi-core fan-out curve: one compute-bound grid swept with
     1 (serial), 2 and 4 workers under the pipelined scheduler.  Fresh
     random grids per round keep every verdict cache cold, so the rows
     measure kernel compute + dispatch, not memoization.  Best-round
     seconds land in the JSON hardware block as ``sweep_fanout_curve``."""
-    monkeypatch.delenv("REPRO_SWEEP_FAULT", raising=False)
-    runtime = EvolutionRuntime(workers=workers)
+    runtime = EvolutionRuntime()
     seeds = iter(range(10_000, 90_000, 1_000))
     try:
         serial_probe = _grid(FANOUT_SIZE, base_seed=next(seeds))

@@ -14,14 +14,20 @@ Rows (all correctness checks run inside the bench):
   sweep of the base grid, then the measured sweep of the shifted grid,
   which recomputes only the inserted pair.  The bench asserts the
   shifted sweep's verdict-cache hits are at least an identical
-  repeat's;
+  repeat's, with the straggler threshold infinite for those checks:
+  when the inserted pair's cold chunk outlasts the 50 ms straggler
+  floor, stealing and speculation rightly move warm pairs to the other
+  shard, which a routing check must not count against routing;
 * **TCP repeat sweep** — a warm re-sweep through loopback shard
   workers: content digests only on the wire, and the bench asserts the
   repeat ships **zero** kernel payload bytes.
 """
 
+import math
+
 import pytest
 
+from repro.core import runtime as runtime_module
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import WITNESS_NONE, _sweep_pairs_report, sweep_pairs
 from repro.core.transport import ShardServer
@@ -73,13 +79,15 @@ def test_scaling_shards_evolved_digest(benchmark, size):
     serial = sweep_pairs(shifted, witnesses=WITNESS_NONE)
     runtime = EvolutionRuntime()
     try:
-        _sweep_pairs_report(grid, WITNESS_NONE, SWEEP_WORKERS, runtime)
-        _, repeat = _sweep_pairs_report(
-            grid, WITNESS_NONE, SWEEP_WORKERS, runtime
-        )
-        results, evolved = _sweep_pairs_report(
-            shifted, WITNESS_NONE, SWEEP_WORKERS, runtime
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime_module, "_SPECULATE_FLOOR_S", math.inf)
+            _sweep_pairs_report(grid, WITNESS_NONE, SWEEP_WORKERS, runtime)
+            _, repeat = _sweep_pairs_report(
+                grid, WITNESS_NONE, SWEEP_WORKERS, runtime
+            )
+            results, evolved = _sweep_pairs_report(
+                shifted, WITNESS_NONE, SWEEP_WORKERS, runtime
+            )
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
         # Every repeated pair lands on its warm shard: the evolved
         # sweep is at least as warm as an identical repeat.
@@ -120,7 +128,6 @@ def test_scaling_shards_tcp_repeat(benchmark):
     serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
     servers = [ShardServer().start() for _ in range(SWEEP_WORKERS)]
     runtime = EvolutionRuntime(
-        transport="tcp",
         shards=[server.address for server in servers],
     )
     try:

@@ -129,10 +129,12 @@ def cmd_sweep(args) -> int:
             # Remote shards: one runtime holding the TCP connections
             # for every repeat, so worker-side caches get exercised
             # exactly like a persistent mp fleet's.
-            owned = EvolutionRuntime(transport="tcp", shards=args.shard)
-        workers = args.workers or (
-            len(args.shard) if args.transport == "tcp" else 0
-        )
+            owned = EvolutionRuntime(shards=args.shard)
+            # A sweep of one worker runs in-process; a remote fleet's
+            # size is its address count, so any --shard list fans out.
+            workers = max(2, args.workers or 0)
+        else:
+            workers = args.workers
         for _ in range(max(1, args.repeat)):
             if per_call and owned is None:
                 # Throwaway runtime per sweep: pool spawn + kernel
@@ -343,7 +345,7 @@ def cmd_migrate(args) -> int:
     owned = None
     runtime = None
     if args.workers and args.workers > 1 and args.per_call_pool:
-        owned = runtime = EvolutionRuntime(workers=args.workers)
+        owned = runtime = EvolutionRuntime()
     try:
         report = classify_migration(
             store,

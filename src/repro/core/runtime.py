@@ -31,13 +31,19 @@ evolution session:
   pipelined scheduler, :meth:`EvolutionRuntime.map_streaming`.
 * **one shard abstraction** — every shard is a
   :class:`~repro.core.transport.Shard`: a connected socket speaking
-  the frame protocol of :mod:`repro.core.transport`.  The transport
-  only says where shards live: forked children of this process (the
-  default) or remote workers (``transport="tcp"``, addresses from
-  ``repro shard-worker --listen``).  A shard whose connection ends
+  the frame protocol of :mod:`repro.core.transport`.  Shards are
+  forked children of this process, as many as a dispatch asks for,
+  unless the runtime is given ``shards`` — addresses of remote workers
+  (``repro shard-worker --listen``).  A shard whose connection ends
   fails its pending attempts at once; the scheduler re-sends them to
   the next rendezvous candidate, and the next dispatch re-forks a dead
   local shard in its own slot.
+
+The scheduler's policy (window, chunk sizing, spill cap, straggler
+threshold) is a set of module constants, not options: one dispatch
+object (:class:`_Dispatch`) holds a dispatch's state and moves only
+on events whose time it is given, so tests drive it with scripted
+shards and virtual times.
 
 The process-wide default runtime (:func:`get_runtime`) is what
 :mod:`repro.core.sweep` and :mod:`repro.instances.migrate` route their
@@ -48,6 +54,7 @@ fan-out through when no explicit runtime is given; it is shut down via
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import queue
 import threading
@@ -299,28 +306,27 @@ def shm_segments() -> set[str]:
         return set()
 
 
-#: Where shards live: forked children of this process, or remote
-#: workers reached over TCP.  Both speak the frame protocol of
-#: :mod:`repro.core.transport`.
-TRANSPORT_MP = "mp"
-TRANSPORT_TCP = "tcp"
-
-#: Cap on the auto-sized shard fleet: dispatches that never name a
-#: worker count get ``min(os.cpu_count(), _MAX_AUTO_SHARDS)`` shards.
-_MAX_AUTO_SHARDS = 8
-
 #: Chunk-size histogram bucket upper bounds (pairs per chunk).
 CHUNK_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
 
-#: The scheduler events a dispatch counts in its record and adds to
-#: the runtime's running totals (same names on both) when it ends.
-_DISPATCH_TOTALS = (
-    "routing_spilled",
-    "speculative_dispatches",
-    "speculative_wins",
-    "stolen_chunks",
-    "cancelled_chunks",
-)
+#: The scheduler's policy.  These are constants, not options: no
+#: caller needs another value, and a test that forces a regime patches
+#: them for its own duration.
+#:
+#: Hot-shard spill cap: a shard takes at most this multiple of its
+#: fair share of a dispatch before the excess overflows to the next
+#: rendezvous candidate (:func:`repro.core.routing.route`).
+_SPILL_FACTOR = 2.0
+#: In-flight attempts each shard's window holds.
+_WINDOW = 2
+#: Micro-chunks per shard a dispatch is cut into, before the latency
+#: EWMA shrinks them (:meth:`EvolutionRuntime._chunk_size_for`).
+_CHUNKS_PER_SHARD = 6
+#: A chunk whose attempt has run longer than ``_SPECULATE_MULTIPLE ×
+#: chunk EWMA + _SPECULATE_FLOOR_S`` is straggling: it may be backed
+#: up on another shard, and its shard's queue may be stolen from.
+_SPECULATE_MULTIPLE = 4.0
+_SPECULATE_FLOOR_S = 0.05
 
 #: EWMA smoothing for observed chunk/pair latencies.
 _EWMA_ALPHA = 0.25
@@ -330,54 +336,290 @@ _EWMA_ALPHA = 0.25
 _POLL_SECONDS = 0.01
 
 
-def default_worker_count() -> int:
-    """The shard count for dispatches with no explicit worker count:
-    the machine's CPU count capped at :data:`_MAX_AUTO_SHARDS` — never
-    the chunk count (a 2-chunk dispatch on a 16-core box should still
-    leave the fleet sized for the grids that follow it)."""
-    return max(1, min(os.cpu_count() or 1, _MAX_AUTO_SHARDS))
-
-
-def _injected_fault_delay(item_count: int) -> None:
-    """Test-only straggler injection, a no-op in production.
-
-    ``REPRO_SWEEP_FAULT`` holds ``slot:seconds_per_item`` entries
-    (comma-separated); a worker whose ``REPRO_SHARD_SLOT`` — which a
-    forked shard sets for itself, and a remote worker inherits from
-    its launcher — matches a slot sleeps ``seconds_per_item × items``
-    before running its chunk.  Sweep and migration chunk
-    workers both call it, so either fan-out can be given a straggler.
-    """
-    spec = os.environ.get("REPRO_SWEEP_FAULT")
-    if not spec:
-        return
-    slot = os.environ.get("REPRO_SHARD_SLOT", "")
-    for part in spec.split(","):
-        shard, _, per_item = part.partition(":")
-        if shard == slot and per_item:
-            time.sleep(float(per_item) * max(1, item_count))
-
-
 class _Chunk:
-    """One micro-chunk in flight through :meth:`map_streaming`: its
-    item indices, prebuilt payload, rendezvous candidate ranking for
-    speculation and failover, and per-attempt bookkeeping."""
+    """One micro-chunk of a dispatch: its item indices, prebuilt
+    payload, rendezvous candidate ranking for speculation and failover,
+    and per-attempt bookkeeping."""
 
     __slots__ = (
-        "indices", "payload", "candidates",
-        "attempts", "outstanding", "done", "result",
+        "indices", "payload", "candidates", "attempts", "outstanding", "done",
     )
 
     def __init__(self, indices, payload, candidates):
         self.indices = indices
         self.payload = payload
         self.candidates = candidates
-        #: (shard, monotonic start, speculative?) per dispatch attempt,
-        #: primary first.
+        #: (shard, start time, speculative?) per attempt, primary first.
         self.attempts: list = []
         self.outstanding = 0
         self.done = False
-        self.result = None
+
+
+class _Dispatch:
+    """The state of one :meth:`EvolutionRuntime.map_streaming` dispatch.
+
+    Construction routes every item to a shard and cuts each shard's
+    share into queued chunks.  From then on the dispatch moves only on
+    events, one method each: :meth:`top_up` fills every shard's window,
+    :meth:`speculate` backs up straggling chunks, :meth:`settle`
+    accounts one completion, :meth:`cancel` abandons what has not
+    finished, and :meth:`drain` frees a late attempt once the dispatch
+    is over.  Each event is given its time; the dispatch reads no clock.
+    It reaches a shard only through ``submit`` and ``connected``, so
+    *shards* may be scripted doubles as well as
+    :class:`~repro.core.transport.Shard` handles.  Completions arrive
+    on :attr:`completions` as ``(chunk, shard, attempt, value, error)``
+    events, from whatever thread a shard answers on.
+
+    Every scheduler event is counted once, into :attr:`record` (under
+    :class:`~repro.core.sweep.SweepReport` field names) and into the
+    *runtime*'s running total of the same name at the same time; the
+    runtime also keeps the fleet latency EWMAs and the in-flight gauge
+    the dispatch feeds.
+    """
+
+    def __init__(
+        self, runtime, shards, func, items, payload_of, key_of,
+        chunk_size: int = 0,
+    ):
+        self.runtime = runtime
+        self.shards = shards
+        self.func = func
+        pool_size = len(shards)
+        keys = [key_of(item) for item in items]
+        assignments, spilled = route(keys, pool_size, _SPILL_FACTOR)
+        shares: list = [[] for _ in range(pool_size)]
+        for index, shard in enumerate(assignments):
+            shares[shard].append(index)
+        #: The dispatch's counts; a count absent from it is zero.
+        self.record: defaultdict = defaultdict(int)
+        self.record["shard_loads"] = [len(share) for share in shares]
+        self._count("routing_spilled", spilled)
+        size = chunk_size or runtime._chunk_size_for(len(items), pool_size)
+        self.queued = [deque() for _ in range(pool_size)]
+        for shard, share in enumerate(shares):
+            for start in range(0, len(share), size):
+                part = share[start:start + size]
+                self.queued[shard].append(_Chunk(
+                    part,
+                    payload_of([items[index] for index in part]),
+                    rendezvous_rank(keys[part[0]], pool_size),
+                ))
+                runtime._record_chunk_size(len(part))
+        #: Chunks not yet won.
+        self.remaining = sum(len(pending) for pending in self.queued)
+        self.record["chunks"] = self.remaining
+        self.completions: queue.SimpleQueue = queue.SimpleQueue()
+        #: Attempts sent and not yet answered, in all and per shard.
+        self.outstanding = 0
+        self.inflight = [0] * pool_size
+        # (chunk id, attempt) -> send time, per shard: an attempt
+        # keeps its shard busy until its *event* arrives — even after
+        # a backup already won the chunk — so a straggler grinding a
+        # lost original still reads as straggling.
+        self.busy: list = [{} for _ in range(pool_size)]
+        #: Chunks sent at least once and not yet won, by id.
+        self.active: dict = {}
+
+    # -- events ------------------------------------------------------------
+
+    def top_up(self, now: float) -> None:
+        """Fill every shard's window: from its own queue first, else —
+        while it is connected — with a chunk stolen from a straggler."""
+        for shard in range(len(self.shards)):
+            while self.inflight[shard] < _WINDOW:
+                if self.queued[shard]:
+                    # On a dead shard this attempt fails at once and
+                    # the chunk moves on (see settle).
+                    chunk = self.queued[shard].popleft()
+                elif self.shards[shard].connected:
+                    chunk = self._steal_for(shard, now)
+                else:
+                    chunk = None
+                if chunk is None:
+                    break
+                self.active[id(chunk)] = chunk
+                self._send(chunk, shard, now)
+
+    def speculate(self, now: float) -> None:
+        """Back up every chunk whose only attempt is older than the
+        straggler threshold, on its best untried candidate that is
+        doing strictly better than this chunk's own wait and is not
+        observed slower than its current shard — re-dispatching onto
+        an equally stuck shard only doubles the drain."""
+        threshold = self._threshold()
+        for chunk in self.active.values():
+            if len(chunk.attempts) > 1:
+                continue
+            shard0, started, _ = chunk.attempts[0]
+            age = now - started
+            if age <= threshold:
+                continue
+            target = next(
+                (
+                    candidate
+                    for candidate in self._untried(chunk)
+                    if self._oldest_age(candidate, now) < age
+                    and not self._slower(candidate, shard0)
+                ),
+                None,
+            )
+            if target is not None:
+                self._count("speculative_dispatches")
+                self._send(chunk, target, now, speculative=True)
+
+    def settle(self, event, now: float):
+        """Account one completion.  Returns ``(indices, results,
+        extra)`` when it is its chunk's first (winning) result, else
+        None.  A failed attempt waits for the chunk's other attempts; a
+        lost one, once none is left, moves to the next untried
+        connected candidate; a chunk with nowhere left to go raises its
+        last error."""
+        self._release(event, now)
+        chunk, _, attempt, value, error = event
+        if chunk.done:
+            return None
+        if error is not None:
+            if chunk.outstanding > 0:
+                return None
+            if isinstance(error, ShardLostError):
+                target = next(self._untried(chunk), None)
+                if target is not None:
+                    self._send(chunk, target, now)
+                    return None
+            raise error
+        chunk.done = True
+        del self.active[id(chunk)]
+        self.remaining -= 1
+        _, started, speculative = chunk.attempts[attempt]
+        self.runtime._observe_latency(now - started, len(chunk.indices))
+        if speculative:
+            self._count("speculative_wins")
+        results, extra = value
+        return chunk.indices, results, extra
+
+    def cancel(self) -> None:
+        """The consumer stopped early: every chunk not yet won is
+        cancelled, and nothing more is sent.  Attempts already out
+        still arrive and are drained."""
+        cancelled = len(self.active)
+        for pending in self.queued:
+            cancelled += len(pending)
+            pending.clear()
+        self._count("cancelled_chunks", cancelled)
+
+    def drain(self, event, now: float) -> None:
+        """Free one attempt that answers after the dispatch ended (a
+        late duplicate, the straggler half of a speculated chunk,
+        cancelled work).  Never raises: the dispatch is already over."""
+        self._release(event, now)
+
+    # -- helpers -------------------------------------------------------------
+
+    def _count(self, name: str, amount: int = 1) -> None:
+        self.record[name] += amount
+        setattr(self.runtime, name, getattr(self.runtime, name) + amount)
+
+    def _send(
+        self, chunk: _Chunk, shard: int, now: float, speculative=False
+    ) -> None:
+        """Send one attempt of *chunk* to *shard* — the one place every
+        attempt goes out, primary, speculative or failover alike."""
+        attempt = len(chunk.attempts)
+        chunk.attempts.append((shard, now, speculative))
+        chunk.outstanding += 1
+        self.busy[shard][(id(chunk), attempt)] = now
+        self.inflight[shard] += 1
+        self.outstanding += 1
+        self.record["inflight_high_water"] = max(
+            self.record["inflight_high_water"], self.outstanding
+        )
+        runtime = self.runtime
+        runtime.chunks_dispatched += 1
+        runtime.inflight += 1
+        runtime.inflight_high_water = max(
+            runtime.inflight_high_water, runtime.inflight
+        )
+        self.shards[shard].submit(
+            self.func,
+            chunk.payload,
+            functools.partial(self._complete, chunk, shard, attempt),
+        )
+
+    def _complete(self, chunk, shard, attempt, value, error) -> None:
+        """A shard's ``done`` callback: queue the completion event."""
+        self.completions.put((chunk, shard, attempt, value, error))
+
+    def _release(self, event, now: float) -> None:
+        """Free one finished attempt's window slot and fold its
+        latency into its shard's EWMA (winners and losers alike)."""
+        chunk, shard, attempt, _, error = event
+        self.inflight[shard] -= 1
+        del self.busy[shard][(id(chunk), attempt)]
+        self.outstanding -= 1
+        self.runtime.inflight -= 1
+        chunk.outstanding -= 1
+        if error is None:
+            self.runtime._observe_shard_latency(
+                shard, now - chunk.attempts[attempt][1], len(chunk.indices)
+            )
+
+    def _threshold(self) -> float:
+        """The straggler threshold: the steal and speculate trigger."""
+        return (
+            _SPECULATE_MULTIPLE * (self.runtime.chunk_latency_ewma or 0.0)
+            + _SPECULATE_FLOOR_S
+        )
+
+    def _oldest_age(self, shard: int, now: float) -> float:
+        """Age of *shard*'s oldest unanswered attempt (0.0 when idle) —
+        the straggler signal for stealing and the backup target filter
+        for speculation.  Counts lost-but-running attempts too: a shard
+        grinding a duplicate is just as busy as one grinding a
+        winner."""
+        busy = self.busy[shard]
+        return now - min(busy.values()) if busy else 0.0
+
+    def _slower(self, candidate: int, reference: int) -> bool:
+        """True when *candidate* is observed slower per pair than
+        *reference* — shards with no completed attempt yet are never
+        called slower."""
+        ewma = self.runtime.shard_pair_ewma
+        cand = ewma.get(candidate)
+        ref = ewma.get(reference)
+        return cand is not None and ref is not None and cand > ref
+
+    def _steal_for(self, thief: int, now: float):
+        """A queued chunk taken from the tail of the most backlogged
+        straggling shard's queue (classic work stealing) — None when no
+        shard is both backlogged and demonstrably slow, or when the
+        thief itself is the slower party (a straggler must not steal
+        its work back)."""
+        threshold = self._threshold()
+        victim = None
+        backlog = 0
+        for shard, pending in enumerate(self.queued):
+            if shard == thief or len(pending) <= backlog:
+                continue
+            if self._oldest_age(shard, now) > threshold and not self._slower(
+                thief, shard
+            ):
+                victim = shard
+                backlog = len(pending)
+        if victim is None:
+            return None
+        self._count("stolen_chunks")
+        return self.queued[victim].pop()
+
+    def _untried(self, chunk: _Chunk):
+        """*chunk*'s rendezvous candidates, best first, that have no
+        attempt yet and are still connected."""
+        tried = {attempt[0] for attempt in chunk.attempts}
+        return (
+            candidate
+            for candidate in chunk.candidates
+            if candidate not in tried and self.shards[candidate].connected
+        )
 
 
 class EvolutionRuntime:
@@ -389,41 +631,19 @@ class EvolutionRuntime:
     rendezvous hashing assigns its content key — so worker-local caches
     pay off for repeated *and evolved* grids alike, because the mapping
     depends on what an item *is*, not where it sits in the dispatch.
-    The fleet is started lazily at the first dispatch and *grows on
-    demand* without recycling the existing shards (their caches stay
-    warm); :meth:`restart_pool` recycles all of them — the
-    cold-restart case the invariance suite pins down.  ``stats()``
-    exposes the running counters the sweep report, the service
-    ``/metrics`` and the scaling bench read.
+    The fleet is started lazily at the first dispatch, sized by that
+    dispatch's worker count, and *grows on demand* without recycling
+    the existing shards (their caches stay warm); :meth:`restart_pool`
+    recycles all of them — the cold-restart case the invariance suite
+    pins down.  Given *shards* (``host:port`` addresses of running
+    ``repro shard-worker`` processes), the fleet is those remote
+    workers instead.  ``stats()`` exposes the running counters the
+    sweep report, the service ``/metrics`` and the scaling bench read.
     """
 
-    def __init__(
-        self,
-        workers: int = 0,
-        arena_maxsize: int = 256,
-        spill_factor: float = 2.0,
-        transport: str = TRANSPORT_MP,
-        shards: list[str] | None = None,
-        window: int = 2,
-        chunks_per_shard: int = 6,
-        speculate: bool = True,
-        speculate_multiple: float = 4.0,
-        speculate_floor_s: float = 0.05,
-    ):
-        if transport not in (TRANSPORT_MP, TRANSPORT_TCP):
-            raise ValueError(f"unknown transport: {transport!r}")
-        if transport == TRANSPORT_TCP and not shards:
-            raise ValueError("tcp transport needs shard addresses")
-        self.workers = workers
-        self.spill_factor = spill_factor
-        self.transport = transport
+    def __init__(self, shards: list[str] | None = None):
         self.shard_addresses = list(shards or [])
-        self.window = max(1, window)
-        self.chunks_per_shard = max(1, chunks_per_shard)
-        self.speculate = speculate
-        self.speculate_multiple = speculate_multiple
-        self.speculate_floor_s = speculate_floor_s
-        self.arena = KernelArena(maxsize=arena_maxsize)
+        self.arena = KernelArena()
         self._shards: list = []
         self.pool_starts = 0
         self.dispatches = 0
@@ -469,21 +689,17 @@ class EvolutionRuntime:
         """Worker shards currently running (0 = not started yet)."""
         return len(self._shards)
 
-    def ensure_pool(self, workers: int = 0) -> None:
-        """Grow the shard fleet to at least *workers* processes (lazy
-        start; existing shards — and their caches — are kept).
-        Sizing rule: an explicit *workers* count wins; otherwise the
-        runtime's configured default; otherwise
-        :func:`default_worker_count` — the machine's CPU count, capped
-        — **never** the chunk count of whatever dispatch happened to
-        arrive first.  A local shard that died is re-forked in its own
-        slot, so rendezvous ranks do not move.  The TCP fleet is fixed
-        by the configured addresses: every shard is connected on first
-        use, a closed one stays closed until :meth:`restart_pool`, and
-        *workers* only caps how many dispatches fan out."""
+    def ensure_pool(self, workers: int) -> None:
+        """Grow the local fleet to at least *workers* shards, at least
+        one (lazy start; existing shards — and their caches — are
+        kept).  A local shard that died is re-forked in its own slot,
+        so rendezvous ranks do not move.  A remote fleet is fixed by
+        its addresses instead: every shard is connected on first use,
+        a closed one stays closed until :meth:`restart_pool`, and
+        *workers* sizes nothing."""
         if self._closed:
             raise RuntimeError("runtime is shut down")
-        if self.transport == TRANSPORT_TCP:
+        if self.shard_addresses:
             if not self._shards:
                 shards = []
                 try:
@@ -501,7 +717,7 @@ class EvolutionRuntime:
                 self._shards = shards
                 self.pool_starts += 1
             return
-        needed = max(1, workers or self.workers or default_worker_count())
+        needed = max(1, workers)
         dead = [
             slot for slot, shard in enumerate(self._shards)
             if not shard.connected
@@ -579,12 +795,12 @@ class EvolutionRuntime:
     # -- pipelined scheduler -----------------------------------------------
 
     def _chunk_size_for(self, n_items: int, pool_size: int) -> int:
-        """Adaptive micro-chunk size: start from the configured
-        chunks-per-shard target (chunks ≈ 4–8× shards) and shrink
+        """Adaptive micro-chunk size: start from the chunks-per-shard
+        target (:data:`_CHUNKS_PER_SHARD`) and shrink
         toward a ~25 ms chunk whenever the fleet's per-pair latency
         EWMA says the target chunks would run long — small enough to
         pipeline and steal, big enough to amortize dispatch."""
-        target = -(-n_items // (pool_size * self.chunks_per_shard))
+        target = -(-n_items // (pool_size * _CHUNKS_PER_SHARD))
         size = max(1, target)
         ewma = self.pair_latency_ewma
         if ewma is not None and ewma > 0:
@@ -654,9 +870,9 @@ class EvolutionRuntime:
         Straggler mitigation, both forms keyed on the fleet EWMAs:
 
         * **speculation** — an in-flight chunk older than
-          ``multiple × chunk-EWMA + floor`` is re-dispatched to its
-          next-ranked rendezvous shard; the first result wins, late
-          duplicates are dropped by chunk identity.
+          ``_SPECULATE_MULTIPLE × chunk-EWMA + _SPECULATE_FLOOR_S`` is
+          re-dispatched to its next-ranked rendezvous shard; the first
+          result wins, late duplicates are dropped by chunk identity.
         * **work stealing** — a shard with window to spare takes queued
           chunks from the most backlogged shard, but only while that
           shard is demonstrably straggling (its oldest in-flight chunk
@@ -676,285 +892,49 @@ class EvolutionRuntime:
         never-dispatched chunks as cancelled and drains every
         outstanding attempt before returning, so no in-flight state —
         task frames, arena pins — outlives the dispatch.
-        Each scheduler event is counted once, in the dispatch's
-        record, under :class:`~repro.core.sweep.SweepReport` field
-        names (routing placement and scheduler counters; a count
-        absent from the record is zero).  When the dispatch ends, the
-        record's event counts (:data:`_DISPATCH_TOTALS`) are added to
-        the runtime's running totals and the record is copied into
-        *info*, when given.
+
+        The state and every decision live in one :class:`_Dispatch`;
+        this generator only feeds it events stamped with the monotonic
+        clock.  Each scheduler event is counted once, in the dispatch's
+        record and the runtime's running total together; when the
+        dispatch ends, the record is copied into *info*, when given.
         """
         items = list(items)
         if not items:
             return
-        if self.transport == TRANSPORT_TCP:
-            self.ensure_pool(0)
-        else:
-            self.ensure_pool(min(workers, len(items)) if workers else 0)
-        pool_size = len(self._shards)
+        self.ensure_pool(min(workers, len(items)))
         self.dispatches += 1
         self.routed_tasks += len(items)
-
-        keys = [key_of(item) for item in items]
-        assignments, spilled = route(keys, pool_size, self.spill_factor)
-        loads = [0] * pool_size
-        per_shard: OrderedDict = OrderedDict()
-        for index, shard in enumerate(assignments):
-            loads[shard] += 1
-            per_shard.setdefault(shard, []).append(index)
-        record: defaultdict = defaultdict(int)
-        record["shard_loads"] = loads
-        record["routing_spilled"] = spilled
-
-        chunk_size = _chunk_size or self._chunk_size_for(
-            len(items), pool_size
+        dispatch = _Dispatch(
+            self, self._shards, func, items, payload_of, key_of, _chunk_size
         )
-        queued: dict = {shard: deque() for shard in range(pool_size)}
-        total_chunks = 0
-        for shard in sorted(per_shard):
-            indices = per_shard[shard]
-            for start in range(0, len(indices), chunk_size):
-                part = indices[start:start + chunk_size]
-                chunk = _Chunk(
-                    indices=part,
-                    payload=payload_of([items[index] for index in part]),
-                    candidates=rendezvous_rank(keys[part[0]], pool_size),
-                )
-                queued[shard].append(chunk)
-                self._record_chunk_size(len(part))
-                total_chunks += 1
-        record["chunks"] = total_chunks
-
-        completions: queue.SimpleQueue = queue.SimpleQueue()
-        shard_inflight = [0] * pool_size
-        # (chunk id, attempt) -> dispatch time, per shard: an attempt
-        # keeps its shard busy until its *event* arrives — even after
-        # a backup already won the chunk — so a straggler grinding a
-        # lost original still reads as straggling.
-        shard_busy: list = [dict() for _ in range(pool_size)]
-        outstanding = 0
-        active: dict = {}
-        high_water = 0
-
-        def dispatch(
-            chunk: _Chunk, shard: int, speculative: bool = False
-        ) -> None:
-            nonlocal outstanding, high_water
-            attempt = len(chunk.attempts)
-            started = time.monotonic()
-            chunk.attempts.append((shard, started, speculative))
-            chunk.outstanding += 1
-            shard_busy[shard][(id(chunk), attempt)] = started
-            shard_inflight[shard] += 1
-            outstanding += 1
-            self.inflight += 1
-            high_water = max(high_water, outstanding)
-            self.inflight_high_water = max(
-                self.inflight_high_water, self.inflight
-            )
-            self._shards[shard].submit(
-                func,
-                chunk.payload,
-                lambda value, error, c=chunk, s=shard, a=attempt: (
-                    completions.put((c, s, a, value, error))
-                ),
-            )
-
-        def straggler_threshold() -> float:
-            return (
-                self.speculate_multiple * (self.chunk_latency_ewma or 0.0)
-                + self.speculate_floor_s
-            )
-
-        def oldest_inflight_age(shard: int, now: float) -> float:
-            """Age of *shard*'s oldest unanswered attempt (0.0 when
-            idle) — the straggler signal for stealing and the backup
-            target filter for speculation.  Counts lost-but-running
-            attempts too: a shard grinding a duplicate is just as
-            busy as one grinding a winner."""
-            busy = shard_busy[shard]
-            if not busy:
-                return 0.0
-            return now - min(busy.values())
-
-        def straggling_since(shard: int, now: float) -> bool:
-            """True when *shard*'s oldest in-flight attempt exceeds the
-            straggler threshold (the steal/speculate trigger)."""
-            return oldest_inflight_age(shard, now) > straggler_threshold()
-
-        def slower_than(candidate: int, reference: int) -> bool:
-            """True when *candidate* is observed slower per pair than
-            *reference* — unknown shards (no completed attempt yet)
-            are never called slower."""
-            cand = self.shard_pair_ewma.get(candidate)
-            ref = self.shard_pair_ewma.get(reference)
-            return cand is not None and ref is not None and cand > ref
-
-        def steal_for(thief: int, now: float):
-            """A queued chunk taken from the most backlogged straggling
-            shard (tail-first, classic work stealing) — None when no
-            shard is both backlogged and demonstrably slow, or when the
-            thief itself is the slower party (a straggler must not
-            steal its work back)."""
-            victim = None
-            backlog = 0
-            for shard in range(pool_size):
-                if shard == thief or len(queued[shard]) <= backlog:
-                    continue
-                if straggling_since(shard, now) and not slower_than(
-                    thief, shard
-                ):
-                    victim = shard
-                    backlog = len(queued[shard])
-            if victim is None:
-                return None
-            record["stolen_chunks"] += 1
-            return queued[victim].pop()
-
-        def untried(chunk: _Chunk):
-            """*chunk*'s rendezvous candidates, best first, that have
-            no attempt yet and are still connected."""
-            tried = {attempt[0] for attempt in chunk.attempts}
-            return (
-                candidate
-                for candidate in chunk.candidates
-                if candidate not in tried
-                and self._shards[candidate].connected
-            )
-
-        def top_up() -> None:
-            now = time.monotonic()
-            for shard in range(pool_size):
-                while shard_inflight[shard] < self.window:
-                    if queued[shard]:
-                        # On a dead shard this attempt fails at once
-                        # and the chunk moves on (see settle).
-                        chunk = queued[shard].popleft()
-                    elif self._shards[shard].connected:
-                        chunk = steal_for(shard, now)
-                    else:
-                        chunk = None
-                    if chunk is None:
-                        break
-                    active[id(chunk)] = chunk
-                    self.chunks_dispatched += 1
-                    dispatch(chunk, shard)
-
-        def maybe_speculate(now: float) -> None:
-            if not self.speculate:
-                return
-            threshold = straggler_threshold()
-            for chunk in list(active.values()):
-                if chunk.done or len(chunk.attempts) > 1:
-                    continue
-                shard0, started, _ = chunk.attempts[0]
-                age = now - started
-                if age <= threshold:
-                    continue
-                # The backup must land on a shard doing strictly
-                # better than this chunk's own wait and not observed
-                # slower than its current shard — re-dispatching onto
-                # an equally stuck shard only doubles the drain.
-                target = next(
-                    (
-                        candidate
-                        for candidate in untried(chunk)
-                        if oldest_inflight_age(candidate, now) < age
-                        and not slower_than(candidate, shard0)
-                    ),
-                    None,
-                )
-                if target is None:
-                    continue
-                record["speculative_dispatches"] += 1
-                dispatch(chunk, target, speculative=True)
-
-        def release(event) -> None:
-            """Free one finished attempt's window slot and fold its
-            latency into its shard's EWMA (winners and losers alike)."""
-            nonlocal outstanding
-            chunk, shard, attempt, _, error = event
-            shard_inflight[shard] -= 1
-            shard_busy[shard].pop((id(chunk), attempt), None)
-            outstanding -= 1
-            self.inflight -= 1
-            chunk.outstanding -= 1
-            if error is None:
-                self._observe_shard_latency(
-                    shard,
-                    time.monotonic() - chunk.attempts[attempt][1],
-                    len(chunk.indices),
-                )
-
-        def settle(event) -> _Chunk | None:
-            """Account one completion event; returns the chunk when it
-            is this chunk's *first* (winning) result."""
-            release(event)
-            chunk, _, attempt, value, error = event
-            if chunk.done:
-                return None
-            if error is not None:
-                # Another attempt may still win; only a chunk whose
-                # every attempt failed moves on or propagates.
-                if chunk.outstanding > 0:
-                    return None
-                if isinstance(error, ShardLostError):
-                    target = next(untried(chunk), None)
-                    if target is not None:
-                        dispatch(chunk, target)
-                        return None
-                raise error
-            chunk.done = True
-            active.pop(id(chunk), None)
-            _, started, speculative = chunk.attempts[attempt]
-            self._observe_latency(
-                time.monotonic() - started, len(chunk.indices)
-            )
-            if speculative:
-                record["speculative_wins"] += 1
-            chunk.result = value
-            return chunk
-
-        done_count = 0
         try:
-            while done_count < total_chunks:
-                top_up()
+            while dispatch.remaining:
+                dispatch.top_up(time.monotonic())
                 try:
-                    event = completions.get(timeout=_POLL_SECONDS)
+                    event = dispatch.completions.get(timeout=_POLL_SECONDS)
                 except queue.Empty:
-                    maybe_speculate(time.monotonic())
+                    dispatch.speculate(time.monotonic())
                     continue
-                winner = settle(event)
-                maybe_speculate(time.monotonic())
-                if winner is None:
-                    continue
-                done_count += 1
-                results, extra = winner.result
-                winner.result = None
-                yield winner.indices, results, extra
+                now = time.monotonic()
+                won = dispatch.settle(event, now)
+                dispatch.speculate(now)
+                if won is not None:
+                    yield won
         except GeneratorExit:
-            cancelled = sum(len(pending) for pending in queued.values())
-            cancelled += sum(
-                1 for chunk in active.values() if not chunk.done
-            )
-            record["cancelled_chunks"] += cancelled
+            dispatch.cancel()
             raise
         finally:
-            record["inflight_high_water"] = high_water
-            # Drain every outstanding attempt (late duplicates, the
-            # straggler halves of speculated chunks, cancelled work)
-            # so callers can unpin arena entries with nothing in
-            # flight.  Never raises: the dispatch is already over.
-            while outstanding > 0:
+            # Drain every outstanding attempt so callers can unpin
+            # arena entries with nothing in flight.
+            while dispatch.outstanding:
                 try:
-                    event = completions.get(timeout=60)
+                    event = dispatch.completions.get(timeout=60)
                 except queue.Empty:  # pragma: no cover - hung worker
                     break
-                release(event)
-            for name in _DISPATCH_TOTALS:
-                setattr(self, name, getattr(self, name) + record[name])
+                dispatch.drain(event, time.monotonic())
             if info is not None:
-                info.update(record)
+                info.update(dispatch.record)
 
     def stats(self) -> dict:
         """Running counters (arena + pool + routing) as one flat dict."""
@@ -967,7 +947,7 @@ class EvolutionRuntime:
             "pool_starts": self.pool_starts,
             "pool_size": len(self._shards),
             "dispatches": self.dispatches,
-            "transport": self.transport,
+            "transport": "tcp" if self.shard_addresses else "mp",
             "routed_tasks": self.routed_tasks,
             "routing_spilled": self.routing_spilled,
             "payload_fetches": self.payload_fetches,
@@ -1035,9 +1015,8 @@ _DEFAULT: EvolutionRuntime | None = None
 def get_runtime() -> EvolutionRuntime:
     """The process-wide default runtime (created lazily, reused by
     every sweep/migration that fans out without an explicit runtime).
-    The fleet starts empty; the first dispatch forks shards sized by
-    its explicit worker count, or by :func:`default_worker_count`
-    (CPU count, capped) when it gives none."""
+    The fleet starts empty; each dispatch grows it to its own worker
+    count."""
     global _DEFAULT
     if _DEFAULT is None or _DEFAULT._closed:
         _DEFAULT = EvolutionRuntime()

@@ -69,7 +69,6 @@ from repro.afsa.serialize import kernel_digest
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.runtime import (
     EvolutionRuntime,
-    _injected_fault_delay,
     get_runtime,
     kernel_for,
 )
@@ -402,7 +401,6 @@ def _check_arena_chunk(payload):
     verdict cache.  Returns the verdicts and the chunk's engine
     counter deltas (:func:`_engine_counters` names)."""
     digests, lineage, index_pairs, witnesses = payload
-    _injected_fault_delay(len(index_pairs))
     kernels = [kernel_for(digest) for digest in digests]
     for local_index, old_digest in lineage:
         note_lineage(kernel_for(old_digest), kernels[local_index])

@@ -63,6 +63,7 @@ import socket
 import threading
 import traceback
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 _HEADER_BYTES = 8
 
@@ -161,8 +162,6 @@ def _serve_connection(conn: socket.socket) -> None:
     fails at once) and the queued ones are dropped: nobody is left to
     read their results.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from repro.core import runtime as _runtime
 
     send_lock = threading.Lock()
@@ -295,7 +294,7 @@ def serve_shard(address: str, announce=print) -> None:
 _HANDLES: "weakref.WeakSet[Shard]" = weakref.WeakSet()
 
 
-def _run_forked_shard(slot: int, conn, parent_end) -> None:
+def _run_forked_shard(conn, parent_end) -> None:
     """Body of a forked local shard: serve *conn* until EOF, then exit
     the process (never returns into the parent's code)."""
     status = 1
@@ -303,8 +302,6 @@ def _run_forked_shard(slot: int, conn, parent_end) -> None:
         parent_end.close()
         for handle in list(_HANDLES):
             handle._sock.close()
-        # The fault-injection hook reads the slot from here.
-        os.environ["REPRO_SHARD_SLOT"] = str(slot)
         _serve_connection(conn)
         status = 0
     finally:
@@ -362,7 +359,7 @@ class Shard:
         parent_end, child_end = socket.socketpair()
         pid = os.fork()
         if pid == 0:
-            _run_forked_shard(slot, child_end, parent_end)
+            _run_forked_shard(child_end, parent_end)
         child_end.close()
         return cls(parent_end, f"local-{slot}", blob_of, on_fetch, pid=pid)
 

@@ -61,7 +61,6 @@ from repro.afsa.automaton import AFSA
 from repro.afsa.kernel import Kernel, kernel_of
 from repro.core.runtime import (
     EvolutionRuntime,
-    _injected_fault_delay,
     get_runtime,
     kernel_for,
 )
@@ -296,7 +295,6 @@ def _classify_arena_chunk(payload):
     persist across a long-lived shard's tasks, on any transport),
     classify a chunk of classes."""
     new_digest, old_digest, traces, witnesses = payload
-    _injected_fault_delay(len(traces))
     new_kernel = kernel_for(new_digest)
     cache = ReplayCache.for_kernel(new_kernel)
     old_kernel = None

@@ -313,8 +313,8 @@ def render_metrics(
     counter(
         "repro_runtime_chunks_dispatched_total",
         runtime_stats["chunks_dispatched"],
-        "Micro-chunks dispatched by the pipelined scheduler "
-        "(primary and speculative attempts).",
+        "Chunk attempts sent by the pipelined scheduler "
+        "(primary, speculative and failover attempts).",
     )
     counter(
         "repro_runtime_speculative_dispatches_total",

@@ -1,6 +1,6 @@
 """Import lint mirrored by CI: eager products and differences stay at
-their construction sites, validated automata at input boundaries, and
-no module imports shared memory.
+their construction sites, validated automata at input boundaries, no
+module imports shared memory, and none touches the environment.
 
 Classification and consistency paths (Defs. 5/6, version lookup,
 bilateral checks) answer emptiness questions lazily; only propagation
@@ -17,6 +17,10 @@ it for local runs and names the offender.  The same walk holds the
 third boundary: no module under ``src/repro`` imports
 ``multiprocessing.shared_memory``, ``SharedMemoryManager`` or
 ``_posixshmem``, so the runtime cannot create a ``/dev/shm`` segment.
+And the fourth: no module reads or writes the process environment
+(``os.environ``, ``os.environb``, ``os.getenv``, ``os.putenv``,
+``os.unsetenv``), so no setting can reach the library except as an
+argument.
 """
 
 from __future__ import annotations
@@ -241,4 +245,46 @@ def test_lint_catches_every_shared_memory_import(tmp_path):
         ("core/attribute.py:5", segments),
     ):
         assert f"repro/{site}: imports {name} (" in failures, site
+    assert "clean.py" not in failures
+
+
+def test_lint_catches_every_environment_access(tmp_path):
+    """Every way of reaching the process environment is caught, in
+    ``repro.afsa`` too; other ``os`` names are not."""
+    src = _tree(
+        tmp_path,
+        {
+            "__init__.py": "",
+            "afsa/__init__.py": "from os import environb\n",
+            "core/__init__.py": "",
+            "core/read.py": (
+                "import os\n"
+                "VALUE = os.environ.get('X')\n"
+            ),
+            "core/alias.py": (
+                "import os as system\n"
+                "def write():\n"
+                "    system.putenv('X', '1')\n"
+            ),
+            "core/names.py": "from os import getenv as read, unsetenv\n",
+            "core/reexport.py": "from repro.core.names import read\n",
+            "core/clean.py": (
+                "import os\n"
+                "import os.path\n"
+                "def clean():\n"
+                "    return os.getpid(), os.path.join('a', 'b')\n"
+            ),
+        },
+    )
+    failures = "\n".join(check(src))
+    for site, name in (
+        ("afsa/__init__.py:1", "os.environb"),
+        ("core/read.py:2", "os.environ"),
+        ("core/read.py:2", "os.environ.get"),
+        ("core/alias.py:3", "os.putenv"),
+        ("core/names.py:1", "os.getenv"),
+        ("core/names.py:1", "os.unsetenv"),
+        ("core/reexport.py:1", "os.getenv"),
+    ):
+        assert f"repro/{site}: reaches {name} (" in failures, site
     assert "clean.py" not in failures

@@ -2,11 +2,9 @@
 
 Four contracts are pinned down here:
 
-* **pool sizing** — a grid dispatch without an explicit worker count
-  sizes the fleet from the machine's CPU count (capped), never from
-  the chunk count of whatever dispatch arrived first;
-* **straggler tolerance** — with a fault-injected slow shard
-  (``REPRO_SWEEP_FAULT``), the pipelined scheduler's wall clock is
+* **pool sizing** — a dispatch grows the fleet to its worker count;
+* **straggler tolerance** — with one shard forked slow
+  (:func:`regimes.fork_fleet`), the pipelined scheduler's wall clock is
   bounded by the in-flight window, well under the analytic floor of a
   one-chunk-per-shard barrier (the slow shard's routed share × its
   per-pair delay), and forced speculation wins with verdicts
@@ -21,7 +19,6 @@ Four contracts are pinned down here:
 
 from __future__ import annotations
 
-import os
 import queue
 import socket
 import threading
@@ -29,11 +26,9 @@ import time
 
 import pytest
 
+from regimes import FORCED_SPECULATION, NO_SPECULATION, fork_fleet, scheduler
 from repro.afsa.kernel import kernel_of
-from repro.core.runtime import (
-    EvolutionRuntime,
-    default_worker_count,
-)
+from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import (
     WITNESS_ALL,
     WITNESS_FAILURES,
@@ -55,10 +50,6 @@ from repro.core.transport import (
     send_msg,
 )
 from repro.workload.generator import generate_choreography, random_afsa
-
-
-#: Runtime options that speculate on any chunk older than 2 ms.
-FORCED_SPECULATION = {"speculate_multiple": 0.0, "speculate_floor_s": 0.002}
 
 
 def _random_pairs(count: int, seed: int = 0, states: int = 8):
@@ -120,26 +111,6 @@ def _verdict_key(results):
 
 
 class TestDefaultPoolSizing:
-    def test_default_worker_count_is_cpu_capped(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 32)
-        assert default_worker_count() == 8
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert default_worker_count() == 3
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert default_worker_count() == 1
-
-    def test_grid_dispatch_sizes_pool_from_cpu_not_chunks(
-        self, monkeypatch
-    ):
-        """Regression: a 5-item dispatch without a worker count must
-        fork ``default_worker_count()`` shards, not 5."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pairs = _random_pairs(5, seed=610, states=6)
-        serial = [ok for ok, _ in sweep_pairs(pairs, WITNESS_NONE)]
-        with EvolutionRuntime() as rt:
-            assert _chunked_verdicts(rt, pairs, 0) == serial
-            assert rt.pool_size == 2
-
     def test_explicit_worker_count_still_wins(self):
         pairs = _random_pairs(4, seed=620, states=6)
         with EvolutionRuntime() as rt:
@@ -148,9 +119,7 @@ class TestDefaultPoolSizing:
 
 
 class TestStragglerFaultInjection:
-    def test_pipeline_bounds_straggler_barrier_degrades(
-        self, monkeypatch
-    ):
+    def test_pipeline_bounds_straggler_barrier_degrades(self):
         """With the busier shard sleeping 0.15 s per pair, a
         one-chunk-per-shard barrier could finish no sooner than that
         shard's routed share × 0.15 s; the pipelined path (window 1,
@@ -160,8 +129,9 @@ class TestStragglerFaultInjection:
         pairs = _random_pairs(12, seed=4200)
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
         slow = _busier_shard(pairs)
-        monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:{delay_s}")
-        with EvolutionRuntime(window=1, **FORCED_SPECULATION) as rt:
+        with scheduler(_WINDOW=1, **FORCED_SPECULATION), \
+                EvolutionRuntime() as rt:
+            fork_fleet(rt, 2, {slow}, _check_arena_chunk, delay_s)
             start = time.monotonic()
             pipelined, report = _sweep_pairs_report(
                 pairs, WITNESS_ALL, 2, rt
@@ -189,7 +159,7 @@ class TestStragglerFaultInjection:
             pipelined = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
-        with EvolutionRuntime(**FORCED_SPECULATION) as rt:
+        with scheduler(**FORCED_SPECULATION), EvolutionRuntime() as rt:
             speculated = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
@@ -198,11 +168,10 @@ class TestStragglerFaultInjection:
 
 
 class TestCancellation:
-    def test_closed_stream_cancels_and_drains(self, monkeypatch):
+    def test_closed_stream_cancels_and_drains(self):
         """Abandoning a pipelined sweep mid-flight counts the
         never-run chunks as cancelled and leaves zero in-flight
         state — the arena unpins only after the drain."""
-        monkeypatch.setenv("REPRO_SWEEP_FAULT", "0:0.1,1:0.1")
         kernels = [
             kernel_of(afsa)
             for pair in _random_pairs(8, seed=900, states=6)
@@ -210,7 +179,9 @@ class TestCancellation:
         ]
         index_pairs = [(2 * i, 2 * i + 1) for i in range(8)]
         report = SweepReport()
-        with EvolutionRuntime(window=1, speculate=False) as rt:
+        with scheduler(_WINDOW=1, **NO_SPECULATION), \
+                EvolutionRuntime() as rt:
+            fork_fleet(rt, 2, {0, 1}, _check_arena_chunk, 0.1)
             grid = _sweep_grid_streaming(
                 kernels, index_pairs, WITNESS_NONE, 2, rt, report
             )
@@ -322,15 +293,13 @@ class TestCounterFold:
         assert fanned.cache_misses == serial.cache_misses == len(pairs)
         assert fanned.witness_lazy == serial.witness_lazy > 0
 
-    def test_runtime_totals_are_the_sum_of_sweep_reports(
-        self, monkeypatch
-    ):
+    def test_runtime_totals_are_the_sum_of_sweep_reports(self):
         slow = _busier_shard(_random_pairs(12, seed=4200))
-        monkeypatch.setenv("REPRO_SWEEP_FAULT", f"{slow}:0.05")
         reports = []
-        with EvolutionRuntime(
-            window=1, spill_factor=1.0, **FORCED_SPECULATION
-        ) as rt:
+        with scheduler(
+            _WINDOW=1, _SPILL_FACTOR=1.0, **FORCED_SPECULATION
+        ), EvolutionRuntime() as rt:
+            fork_fleet(rt, 2, {slow}, _check_arena_chunk, 0.05)
             for seed in (4200, 8100, 8300):
                 _, report = _sweep_pairs_report(
                     _random_pairs(12, seed=seed), WITNESS_NONE, 2, rt
@@ -431,9 +400,7 @@ class TestTcpPipelining:
         serial = sweep_choreography(choreography, witnesses=WITNESS_ALL)
         server = ShardServer().start()
         try:
-            with EvolutionRuntime(
-                transport="tcp", shards=[server.address]
-            ) as rt:
+            with EvolutionRuntime(shards=[server.address]) as rt:
                 tcp = sweep_choreography(
                     choreography, witnesses=WITNESS_ALL, workers=2,
                     runtime=rt,

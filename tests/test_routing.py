@@ -27,6 +27,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from regimes import scheduler
 from repro.afsa.kernel import kernel_of
 from repro.afsa.serialize import (
     kernel_digest,
@@ -40,7 +41,7 @@ from repro.core.routing import (
     route,
     shard_weight,
 )
-from repro.core.runtime import EvolutionRuntime
+from repro.core.runtime import EvolutionRuntime, KernelArena
 from repro.core.sweep import WITNESS_ALL, sweep_pairs
 from repro.workload.generator import random_afsa
 
@@ -166,7 +167,7 @@ class TestSpill:
             for i in range(6)
         ]
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        with EvolutionRuntime(spill_factor=0.01) as rt:
+        with scheduler(_SPILL_FACTOR=0.01), EvolutionRuntime() as rt:
             spilled = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=3, runtime=rt
             )
@@ -202,20 +203,18 @@ class TestDigestStability:
     @given(_SEEDS)
     @settings(max_examples=15, deadline=None)
     def test_digest_survives_evict_and_republish(self, seed):
-        with EvolutionRuntime(arena_maxsize=1) as rt:
-            kernel = kernel_of(random_afsa(seed=seed, states=8))
-            digest = rt.arena.publish(kernel)
-            payload = rt.arena.payload_of(digest)
-            # Publishing a different kernel evicts the first ...
-            rt.arena.publish(
-                kernel_of(random_afsa(seed=seed + 1, states=9))
-            )
-            assert digest not in rt.arena
-            # ... and a *fresh* equal kernel republishes under the
-            # same digest (new entry, same identity and bytes).
-            rebuilt = kernel_of(random_afsa(seed=seed, states=8))
-            assert rt.arena.publish(rebuilt) == digest
-            assert rt.arena.payload_of(digest) == payload
+        arena = KernelArena(maxsize=1)
+        kernel = kernel_of(random_afsa(seed=seed, states=8))
+        digest = arena.publish(kernel)
+        payload = arena.payload_of(digest)
+        # Publishing a different kernel evicts the first ...
+        arena.publish(kernel_of(random_afsa(seed=seed + 1, states=9)))
+        assert digest not in arena
+        # ... and a *fresh* equal kernel republishes under the same
+        # digest (new entry, same identity and bytes).
+        rebuilt = kernel_of(random_afsa(seed=seed, states=8))
+        assert arena.publish(rebuilt) == digest
+        assert arena.payload_of(digest) == payload
 
     def test_worker_process_computes_the_same_digest(self):
         """A fresh interpreter (perturbed hash seed, fresh interner)

@@ -23,6 +23,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from regimes import FORCED_SPECULATION, fork_fleet, scheduler
 from repro.afsa.automaton import AFSA
 from repro.afsa.kernel import (
     k_good_states,
@@ -39,6 +40,7 @@ from repro.afsa.lazy import (
 )
 from repro.core.runtime import (
     EvolutionRuntime,
+    KernelArena,
     kernel_for,
     set_payload_fetcher,
 )
@@ -52,6 +54,7 @@ from repro.core.sweep import (
 )
 from repro.instances.migrate import (
     FleetClassifier,
+    _classify_arena_chunk,
     classify_migration,
 )
 from repro.workload.fleet import generate_fleet
@@ -65,24 +68,16 @@ import pytest
 
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 
-#: Runtime configurations the invariance suite runs under: the
-#: default, and one that speculates on any chunk older than 2 ms.
-_RUNTIME_OPTIONS = {
-    "default": {},
-    "forced-speculation": {
-        "speculate_multiple": 0.0,
-        "speculate_floor_s": 0.002,
-    },
-}
+#: Scheduler regimes the invariance suite runs under, each applied
+#: to one test example only: the default, and one that speculates on
+#: any chunk older than 2 ms.
+_REGIMES = {"default": {}, "forced-speculation": FORCED_SPECULATION}
 
 
 @pytest.fixture(scope="module")
-def runtime(request):
-    """One runtime per configuration for the whole module (pool
-    spawned once); tests pick a non-default configuration through
-    indirect parametrization."""
-    options = _RUNTIME_OPTIONS[getattr(request, "param", "default")]
-    with EvolutionRuntime(**options) as rt:
+def runtime():
+    """One runtime for the whole module (pool spawned once)."""
+    with EvolutionRuntime() as rt:
         yield rt
 
 
@@ -157,35 +152,35 @@ class TestKernelArena:
         assert runtime.arena.hits == hits0 + 1
 
     def test_eviction_drops_lru_entries(self):
-        with EvolutionRuntime(arena_maxsize=2) as rt:
-            kernels = [
-                kernel_of(random_afsa(seed=10 + i, states=6))
-                for i in range(4)
-            ]
-            digests = [rt.arena.publish(k) for k in kernels]
-            assert len(rt.arena) == 2
-            assert digests[-1] in rt.arena
-            assert digests[0] not in rt.arena
-            with pytest.raises(KeyError):
-                rt.arena.payload_of(digests[0])
+        arena = KernelArena(maxsize=2)
+        kernels = [
+            kernel_of(random_afsa(seed=10 + i, states=6))
+            for i in range(4)
+        ]
+        digests = [arena.publish(k) for k in kernels]
+        assert len(arena) == 2
+        assert digests[-1] in arena
+        assert digests[0] not in arena
+        with pytest.raises(KeyError):
+            arena.payload_of(digests[0])
 
     def test_pinning_more_kernels_than_maxsize(self):
         """A dispatch may pin a grid larger than the arena bound: the
         arena temporarily exceeds maxsize (never evicting a pinned or
         just-published entry) and ages back down after unpin."""
-        with EvolutionRuntime(arena_maxsize=2) as rt:
-            kernels = [
-                kernel_of(random_afsa(seed=30 + i, states=6))
-                for i in range(5)
-            ]
-            digests = rt.arena.pin(kernels)
-            assert len(set(digests)) == 5
-            # Every pinned payload stays fetchable for the dispatch.
-            assert all(rt.arena.payload_of(digest) for digest in digests)
-            rt.arena.unpin(kernels)
-            extra = kernel_of(random_afsa(seed=40, states=6))
-            rt.arena.publish(extra)
-            assert len(rt.arena) <= 3  # shrunk back near the bound
+        arena = KernelArena(maxsize=2)
+        kernels = [
+            kernel_of(random_afsa(seed=30 + i, states=6))
+            for i in range(5)
+        ]
+        digests = arena.pin(kernels)
+        assert len(set(digests)) == 5
+        # Every pinned payload stays fetchable for the dispatch.
+        assert all(arena.payload_of(digest) for digest in digests)
+        arena.unpin(kernels)
+        extra = kernel_of(random_afsa(seed=40, states=6))
+        arena.publish(extra)
+        assert len(arena) <= 3  # shrunk back near the bound
 
     def test_discard_defers_while_pinned(self):
         with EvolutionRuntime() as rt:
@@ -247,12 +242,12 @@ class TestZeroPayloadResweep:
 
 
 class TestInvariance:
-    @pytest.mark.parametrize(
-        "runtime", list(_RUNTIME_OPTIONS), indirect=True
-    )
+    @pytest.mark.parametrize("regime", list(_REGIMES))
     @given(_SEEDS)
     @settings(max_examples=10, deadline=None)
-    def test_serial_pool_and_restarted_pool_agree(self, runtime, seed):
+    def test_serial_pool_and_restarted_pool_agree(
+        self, runtime, regime, seed
+    ):
         """Verdicts *and* canonical witnesses are byte-identical for
         serial, persistent-pool, and pool-restarted runs — with the
         default scheduler and with a backup dispatched for every chunk
@@ -271,13 +266,14 @@ class TestInvariance:
             for i in range(3)
         ]
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        pooled = sweep_pairs(
-            pairs, witnesses=WITNESS_ALL, workers=2, runtime=runtime
-        )
-        runtime.restart_pool()
-        restarted = sweep_pairs(
-            pairs, witnesses=WITNESS_ALL, workers=2, runtime=runtime
-        )
+        with scheduler(**_REGIMES[regime]):
+            pooled = sweep_pairs(
+                pairs, witnesses=WITNESS_ALL, workers=2, runtime=runtime
+            )
+            runtime.restart_pool()
+            restarted = sweep_pairs(
+                pairs, witnesses=WITNESS_ALL, workers=2, runtime=runtime
+            )
         for variant in (pooled, restarted):
             assert [ok for ok, _ in variant] == [
                 ok for ok, _ in serial
@@ -315,7 +311,6 @@ class TestInvariance:
         servers = [ShardServer().start() for _ in range(2)]
         try:
             with EvolutionRuntime(
-                transport="tcp",
                 shards=[server.address for server in servers],
             ) as rt:
                 tcp = sweep_pairs(
@@ -658,7 +653,7 @@ class TestMigrationThroughRuntime:
         )
         assert runtime.arena.published == published0
 
-    def test_straggling_shard_is_speculated_around(self, monkeypatch):
+    def test_straggling_shard_is_speculated_around(self):
         """Migration rides the one pipelined scheduler: with shard 0
         slowed and speculation forced, a backup attempt goes out,
         verdicts stay byte-identical to serial, and the drain leaves
@@ -670,9 +665,8 @@ class TestMigrationThroughRuntime:
         serial = classify_migration(
             store, old, new, version="A#v1", witnesses=WITNESS_ALL
         )
-        monkeypatch.setenv("REPRO_SWEEP_FAULT", "0:0.01")
-        options = _RUNTIME_OPTIONS["forced-speculation"]
-        with EvolutionRuntime(**options) as rt:
+        with scheduler(**FORCED_SPECULATION), EvolutionRuntime() as rt:
+            fork_fleet(rt, 2, {0}, _classify_arena_chunk, 0.01)
             fanned = classify_migration(
                 store, old, new, version="A#v1", witnesses=WITNESS_ALL,
                 workers=2, runtime=rt,
@@ -780,3 +774,38 @@ class TestCliSweep:
         assert code == 0
         assert "sweep: all pairs consistent" in out
         assert "runtime: pool of" in out
+
+    def test_one_tcp_shard_fans_out(self, capsys):
+        """A single ``--shard`` address fans the sweep out to that
+        remote worker; it does not run serially in-process."""
+        from pathlib import Path
+
+        from repro.cli import main
+
+        processes = (
+            Path(__file__).resolve().parent.parent
+            / "examples"
+            / "processes"
+        )
+        server = ShardServer().start()
+        try:
+            code = main(
+                [
+                    "sweep",
+                    str(processes / "buyer.proc"),
+                    str(processes / "accounting.proc"),
+                    str(processes / "logistics.proc"),
+                    "--transport",
+                    "tcp",
+                    "--shard",
+                    server.address,
+                    "--stats",
+                ]
+            )
+        finally:
+            server.stop()
+        out = capsys.readouterr().out
+        assert code == 0
+        assert server.connections == 1
+        assert "pair-cache (pool-wide)" in out
+        assert "1 dispatch(es)" in out

@@ -15,6 +15,9 @@ death signal in both directions:
 The victim runtimes of the process-level cases run in a subprocess of
 their own session, so a hang ends at the subprocess timeout (and
 takes its whole process group with it) instead of stalling the suite.
+A slow shard is one whose chunk function is patched in its own
+process: before the fork for a local shard, by a ``python -c``
+launcher for a remote one.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from regimes import NO_SPECULATION, scheduler
 from repro.core import transport
 from repro.core.runtime import EvolutionRuntime, set_payload_fetcher
 from repro.core.sweep import WITNESS_ALL, sweep_pairs
@@ -41,11 +45,25 @@ from repro.workload.generator import random_afsa
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 
+#: Shared by the victim scripts and the slow remote worker: a chunk
+#: function that sleeps 0.05 s per pair before checking its chunk.
+_SLOW_CHUNKS = """
+import time
+from repro.core import sweep
+
+CHECK = sweep._check_arena_chunk
+
+def slow_check(payload):
+    time.sleep(0.05 * len(payload[2]))
+    return CHECK(payload)
+"""
+
 #: Shared by the victim scripts: a seeded 24-pair grid, the verdict
 #: key tests compare, and the pids of this process's shards — forked
 #: children running this very command line.
-_PRELUDE = """
-import json, os, signal, sys, threading, time
+_PRELUDE = _SLOW_CHUNKS + """
+import json, os, signal, sys, threading
+from repro.core import runtime
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import WITNESS_ALL, _sweep_pairs_report, sweep_pairs
 from repro.workload.generator import random_afsa
@@ -81,13 +99,16 @@ def shard_pids():
 """
 
 #: SIGKILL the first of two local shards 0.2 s into a sweep whose
-#: every pair sleeps 0.05 s, with speculation off: only failover can
-#: finish the sweep.  Then dispatch again and report the fleet.
+#: every pair sleeps 0.05 s (both shards fork with the slow chunk
+#: function), with no chunk ever straggling: only failover can finish
+#: the sweep.  Then dispatch again and report the fleet.
 _KILL_LOCAL_SHARD = _PRELUDE + """
 serial = sweep_pairs(PAIRS, witnesses=WITNESS_ALL)
-os.environ["REPRO_SWEEP_FAULT"] = "0:0.05,1:0.05"
-with EvolutionRuntime(speculate=False) as rt:
+runtime._SPECULATE_FLOOR_S = float("inf")
+with EvolutionRuntime() as rt:
+    sweep._check_arena_chunk = slow_check
     rt.ensure_pool(2)
+    sweep._check_arena_chunk = CHECK
     before = shard_pids()
     threading.Timer(0.2, os.kill, (before[0], signal.SIGKILL)).start()
     start = time.monotonic()
@@ -126,7 +147,6 @@ def _python(code: str) -> subprocess.Popen:
     """Start *code* in a fresh interpreter, in a session of its own
     (hash seed pinned, so the grid routes the same way every run)."""
     env = dict(os.environ, PYTHONPATH=_SRC, PYTHONHASHSEED="0")
-    env.pop("REPRO_SWEEP_FAULT", None)
     return subprocess.Popen(
         [sys.executable, "-c", code],
         stdout=subprocess.PIPE, text=True, env=env,
@@ -270,19 +290,20 @@ class TestTaskErrors:
             shard.close()
 
 
-def _shard_worker(slot: int, fault: str) -> tuple[subprocess.Popen, str]:
-    """Launch ``repro shard-worker`` on an ephemeral port as *slot*;
-    returns the process and its announced address."""
-    env = dict(
-        os.environ, PYTHONPATH=_SRC, REPRO_SHARD_SLOT=str(slot),
-        REPRO_SWEEP_FAULT=fault,
-    )
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "shard-worker",
-         "--listen", "127.0.0.1:0"],
-        stdout=subprocess.PIPE, text=True, env=env,
-        start_new_session=True,
-    )
+#: A remote shard worker on an ephemeral port whose chunk function
+#: sleeps 0.05 s per pair: the launcher patches it, then serves.
+_SLOW_SHARD_WORKER = _SLOW_CHUNKS + """
+from repro.core.transport import serve_shard
+
+sweep._check_arena_chunk = slow_check
+serve_shard("127.0.0.1:0")
+"""
+
+
+def _slow_shard_worker() -> tuple[subprocess.Popen, str]:
+    """Launch :data:`_SLOW_SHARD_WORKER`; returns the process and its
+    announced address."""
+    process = _python(_SLOW_SHARD_WORKER)
     try:
         line = _first_line(process, timeout=40)
         assert "listening on" in line, line
@@ -296,12 +317,10 @@ class TestRemoteShardDeath:
     def test_killed_tcp_shard_is_served_by_the_other(self):
         pairs = _pairs(24, seed=5100)
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        workers = [_shard_worker(slot, "0:0.05,1:0.05") for slot in (0, 1)]
+        workers = [_slow_shard_worker() for _ in range(2)]
         try:
-            with EvolutionRuntime(
-                transport="tcp",
+            with scheduler(**NO_SPECULATION), EvolutionRuntime(
                 shards=[address for _, address in workers],
-                speculate=False,
             ) as rt:
                 killer = threading.Timer(
                     0.4, workers[0][0].send_signal, (signal.SIGKILL,)
@@ -337,9 +356,7 @@ class TestRemoteShardDeath:
         unused.close()
         server = ShardServer().start()
         try:
-            rt = EvolutionRuntime(
-                transport="tcp", shards=[server.address, refused]
-            )
+            rt = EvolutionRuntime(shards=[server.address, refused])
             with pytest.raises(ConnectionRefusedError):
                 rt.ensure_pool(0)
             rt.shutdown()
@@ -374,9 +391,7 @@ class TestRemoteShardDeath:
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
         server = ShardServer().start()
         try:
-            with EvolutionRuntime(
-                transport="tcp", shards=[server.address]
-            ) as rt:
+            with EvolutionRuntime(shards=[server.address]) as rt:
                 first = sweep_pairs(
                     pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
                 )

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Import lint: eager automata are built only where they belong, and
-shared memory nowhere.
+shared memory and the process environment nowhere.
 
-Three boundaries, all checked on the AST of every module of
+Four boundaries, all checked on the AST of every module of
 ``src/repro``:
 
 1. **Eager products and differences stay at construction sites.**
@@ -42,9 +42,16 @@ Three boundaries, all checked on the AST of every module of
    A static rule, unlike a ``/dev/shm`` diff, cannot be failed by
    another process on the same host.
 
+4. **No module reads or writes the process environment.**  What the
+   library does is set by its arguments alone, so no module —
+   ``repro.afsa`` included — may reach ``os.environ``,
+   ``os.environb``, ``os.getenv``, ``os.putenv`` or ``os.unsetenv``,
+   by any import alias, ``from … import``, a ``repro`` module that
+   re-exports it, or an attribute of an imported module.
+
 Each module is parsed once: every name it imports or reaches through
-an imported module is resolved to its defining site, and boundaries 1
-and 3 filter that one list.  An allowlisted import or construction
+an imported module is resolved to its defining site, and boundaries
+1, 3 and 4 filter that one list.  An allowlisted import or construction
 that is gone is reported too, so both lists stay exact.
 
 Used by CI and mirrored by ``tests/test_import_lint.py``.
@@ -127,6 +134,15 @@ SHARED_MEMORY = (
     "multiprocessing.shared_memory",
     "multiprocessing.managers.SharedMemoryManager",
     "_posixshmem",
+)
+
+#: The process environment's names (dotted) no module may reach.
+ENVIRONMENT = (
+    "os.environ",
+    "os.environb",
+    "os.getenv",
+    "os.putenv",
+    "os.unsetenv",
 )
 
 
@@ -289,12 +305,11 @@ def constructions(tree, module: str, imports: _Imports) -> list:
     return sorted(found)
 
 
-def shared_memory(name: str) -> bool:
-    """Whether dotted *name* is, or lies inside, a :data:`SHARED_MEMORY`
-    module or name."""
+def within(name: str, banned: tuple) -> bool:
+    """Whether dotted *name* is, or lies inside, one of the *banned*
+    modules or names."""
     return any(
-        name == banned or name.startswith(banned + ".")
-        for banned in SHARED_MEMORY
+        name == entry or name.startswith(entry + ".") for entry in banned
     )
 
 
@@ -327,11 +342,17 @@ def check(root: Path) -> list:
         imports = _Imports(tree, module, path, resolver)
         named = imports.named(tree)
         for lineno, name, _ in named:
-            if shared_memory(name):
+            if within(name, SHARED_MEMORY):
                 failures.append(
                     f"{root.name}/{key}:{lineno}: imports {name} (the "
                     "runtime creates no shared-memory segment; kernel "
                     "payloads reach shards over their connections)"
+                )
+            if within(name, ENVIRONMENT):
+                failures.append(
+                    f"{root.name}/{key}:{lineno}: reaches {name} (no "
+                    "module reads or writes the process environment; "
+                    "behaviour is set by arguments)"
                 )
         for lineno, scope in constructions(tree, module, imports):
             site = f"{key}::{scope}"
