@@ -9,11 +9,15 @@ projected views — and is resolved by the classic subset construction.
 Annotation handling mirrors ε-elimination: a macro-state's annotation is
 the **conjunction** of its members' annotations.  Nondeterminism models a
 choice the process resolves internally, so the partner must satisfy the
-requirements of every state the process might privately occupy.  This is
-conservative: the unannotated language is preserved exactly, while the
-annotated language may shrink (never grow).  The paper's own pipelines
-only determinize automata whose merged states carry compatible
-annotations, where the construction is exact.
+requirements of every state the process might privately occupy.  A
+member whose annotation is unmet in the input (an annotated state
+outside its good set) makes its macro-state ``false``: the merged
+successors of its companions cannot supply the support its own
+transitions lack.  This is conservative: the unannotated language is
+preserved exactly, while the annotated language may shrink; on ε-free
+input it never grows, so a non-empty result implies a non-empty input.
+The paper's own pipelines only determinize automata whose merged states
+carry compatible annotations, where the construction is exact.
 
 The construction runs on the integer-dense kernel
 (:mod:`repro.afsa.kernel`); the determinized kernel is memoized on the

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.afsa.automaton import AFSA, Transition
-from repro.formula.ast import And, TRUE, Formula, Top, Var
+from repro.formula.ast import And, FALSE, TRUE, Formula, Top, Var
 from repro.formula.evaluate import evaluate
 from repro.formula.simplify import conjoin, simplify
 from repro.formula.transform import is_positive, substitute
@@ -692,6 +692,17 @@ def k_determinize(kernel: Kernel) -> Kernel:
 
     Macro-state names are frozensets of the ε-free base-state names,
     exactly as the historical ``determinize`` produced.
+
+    A macro state that holds an annotated base state outside the base's
+    good set is annotated ``false``: that member's requirement cannot be
+    met through its own transitions, and the merged successors of its
+    companions must not stand in for them.  Without this gate the
+    determinized automaton can be non-empty where the input is empty —
+    a final member whose mandatory message leads only to a dead state
+    borrows support from a live companion's equally labeled transition.
+    With it, every good macro state holds a good base state (backward
+    induction along a good path to a final macro state), so a non-empty
+    result implies a non-empty ε-free input.
     """
     if kernel._det is not None:
         return kernel._det
@@ -736,6 +747,15 @@ def k_determinize(kernel: Kernel) -> Kernel:
 
     base_finals = base.finals
     base_ann = base.ann
+    if base_ann:
+        base_good = k_good_states(base)
+        blocked = frozenset(
+            state
+            for state, formula in base_ann.items()
+            if state not in base_good and formula != TRUE
+        )
+    else:
+        blocked = frozenset()
     finals = set()
     ann: dict = {}
     macro_names: list = []
@@ -743,6 +763,9 @@ def k_determinize(kernel: Kernel) -> Kernel:
         macro_names.append(frozenset(names[i] for i in members))
         if any(member in base_finals for member in members):
             finals.add(macro_id)
+        if blocked and not blocked.isdisjoint(members):
+            ann[macro_id] = FALSE
+            continue
         formula: Formula = TRUE
         for member in sorted(members, key=lambda i: repr(names[i])):
             member_formula = base_ann.get(member)

@@ -2,13 +2,14 @@
 
 from repro.afsa.automaton import AFSABuilder
 from repro.afsa.determinize import determinize, is_deterministic
+from repro.afsa.emptiness import is_empty
 from repro.afsa.epsilon import (
     closure_annotation,
     epsilon_closure,
     remove_epsilon,
 )
 from repro.afsa.language import accepted_words
-from repro.formula.ast import Var
+from repro.formula.ast import FALSE, Var
 
 
 class TestEpsilonClosure:
@@ -158,3 +159,22 @@ class TestDeterminize:
         builder.mark_final("c")
         dfa = determinize(builder.build(start="a"))
         assert frozenset({"b", "c"}) in dfa.finals
+
+    def test_unmet_member_annotation_not_borrowed(self):
+        # "f" is the only final state and its mandatory y leads to the
+        # dead state "d", so the automaton is empty.  Merged with "m",
+        # whose y loops back to the start, the macro state {f, m} must
+        # not take the support f lacks from m's transition.
+        builder = AFSABuilder()
+        builder.add_transition("s", "A#B#x", "f")
+        builder.add_transition("s", "A#B#x", "m")
+        builder.add_transition("f", "A#B#y", "d")
+        builder.add_transition("m", "A#B#y", "s")
+        builder.annotate("f", Var("A#B#y"))
+        builder.mark_final("f")
+        automaton = builder.build(start="s")
+        dfa = determinize(automaton)
+        assert is_empty(automaton)
+        assert is_empty(dfa)
+        assert dfa.annotation(frozenset({"f", "m"})) == FALSE
+        assert accepted_words(dfa, 4) == accepted_words(automaton, 4)
