@@ -27,6 +27,7 @@ doubles as a determinism record.
 import pytest
 
 from repro.bpel.compile import compile_process
+from repro.core import runtime as runtime_module
 from repro.instances.migrate import (
     WITNESS_NONE,
     classify_migration,
@@ -78,10 +79,14 @@ def test_scaling_migration_fleet(benchmark, models, size):
         assert all(
             by_instance[record.id] == reference for record in records
         )
-    fanned = classify_migration(
-        store, old, new, version="A#v1", witnesses=WITNESS_NONE,
-        workers=2,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        # The invariance check must reach the shards.
+        patch.setattr(runtime_module, "_FORCE_FAN_OUT", True)
+        fanned = classify_migration(
+            store, old, new, version="A#v1", witnesses=WITNESS_NONE,
+            workers=2,
+        )
+    assert fanned.workers == 2
     assert [e.verdict for e in fanned.verdicts] == [
         e.verdict for e in serial.verdicts
     ]

@@ -50,9 +50,10 @@ FAULT_S = 0.05
 #: The acceptance claim: pipelined+speculative ≥2× under the barrier's
 #: analytic floor.
 ASSERT_SPEEDUP = 2.0
-#: Scheduler constants for the skew row: a window of one, and a backup
-#: for any chunk older than 2 ms.
+#: Scheduler constants for the skew row: every grid fanned out, a
+#: window of one, and a backup for any chunk older than 2 ms.
 SKEW_SCHEDULER = {
+    "_FORCE_FAN_OUT": True,
     "_WINDOW": 1,
     "_SPECULATE_MULTIPLE": 0.0,
     "_SPECULATE_FLOOR_S": 0.002,
@@ -162,12 +163,15 @@ def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
 
 
 @pytest.mark.parametrize("workers", FANOUT_WORKERS)
-def test_scaling_pipeline_fanout(benchmark, workers):
+def test_scaling_pipeline_fanout(benchmark, workers, monkeypatch):
     """The multi-core fan-out curve: one compute-bound grid swept with
     1 (serial), 2 and 4 workers under the pipelined scheduler.  Fresh
     random grids per round keep every verdict cache cold, so the rows
-    measure kernel compute + dispatch, not memoization.  Best-round
-    seconds land in the JSON hardware block as ``sweep_fanout_curve``."""
+    measure kernel compute + dispatch, not memoization; with more than
+    one worker every grid fans out, whatever the runtime would
+    predict.  Best-round seconds land in the JSON hardware block as
+    ``sweep_fanout_curve``."""
+    monkeypatch.setattr(runtime_module, "_FORCE_FAN_OUT", True)
     runtime = EvolutionRuntime()
     seeds = iter(range(10_000, 90_000, 1_000))
     try:

@@ -40,6 +40,7 @@ from repro.afsa.lazy import (
     warm_stats,
 )
 from repro.bpel.compile import compile_process
+from repro.core import runtime as runtime_module
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import WITNESS_NONE, sweep_pairs
 from repro.instances.migrate import (
@@ -77,8 +78,11 @@ def _grid(pairs):
 
 
 @pytest.mark.parametrize("pairs", GRID_SIZES)
-def test_scaling_runtime_sweep_cold(benchmark, pairs):
-    """Throwaway runtime per sweep: pool spawn + publish every call."""
+def test_scaling_runtime_sweep_cold(benchmark, pairs, monkeypatch):
+    """Throwaway runtime per sweep: pool spawn + publish every call.
+    Every sweep fans out, whatever the runtime would predict: the row
+    times the round trip."""
+    monkeypatch.setattr(runtime_module, "_FORCE_FAN_OUT", True)
     grid = _grid(pairs)
     serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
 
@@ -98,9 +102,12 @@ def test_scaling_runtime_sweep_cold(benchmark, pairs):
 
 
 @pytest.mark.parametrize("pairs", GRID_SIZES)
-def test_scaling_runtime_sweep_warm(benchmark, pairs):
+def test_scaling_runtime_sweep_warm(benchmark, pairs, monkeypatch):
     """Persistent runtime: repeated sweeps are arena hits + warm
-    worker caches — pure dispatch round-trips."""
+    worker caches — pure dispatch round-trips.  Every sweep fans out,
+    although the parent's verdict cache could answer the grid: the row
+    times the round trip."""
+    monkeypatch.setattr(runtime_module, "_FORCE_FAN_OUT", True)
     grid = _grid(pairs)
     serial = sweep_pairs(grid, witnesses=WITNESS_NONE)
     with EvolutionRuntime() as runtime:

@@ -21,6 +21,9 @@ Rows (all correctness checks run inside the bench):
 * **TCP repeat sweep** — a warm re-sweep through loopback shard
   workers: content digests only on the wire, and the bench asserts the
   repeat ships **zero** kernel payload bytes.
+
+Both rows time the shards, so every grid fans out, whatever the
+runtime's fan-out decision would predict.
 """
 
 import math
@@ -36,6 +39,12 @@ from repro.workload.generator import random_afsa
 SIZES = [128, 512]
 GRID_PAIRS = 12
 SWEEP_WORKERS = 2
+
+
+@pytest.fixture(autouse=True)
+def _fan_out(monkeypatch):
+    """Fan out every grid of the row."""
+    monkeypatch.setattr(runtime_module, "_FORCE_FAN_OUT", True)
 
 
 def _grid(size, pairs=GRID_PAIRS, base_seed=0):

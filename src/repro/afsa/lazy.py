@@ -1150,8 +1150,10 @@ class PairVerdictCache:
             ):
                 entries.pop(key, None)
 
-    def _get(self, left: Kernel, right: Kernel, annotated: bool):
-        """The live entry for this operand pair, or None (uncounted)."""
+    def peek(self, left: Kernel, right: Kernel, annotated: bool = True):
+        """The live entry for this operand pair, or None — uncounted:
+        the hit/miss counters and the LRU order do not move (the
+        fan-out decision asks what the parent could answer)."""
         self._purge()
         key = (id(left), id(right), annotated)
         entry = self._entries.get(key)
@@ -1170,7 +1172,7 @@ class PairVerdictCache:
 
     def lookup(self, left: Kernel, right: Kernel, annotated: bool = True):
         """Return the cached :class:`_CacheEntry` or None (counted)."""
-        entry = self._get(left, right, annotated)
+        entry = self.peek(left, right, annotated)
         if entry is None:
             self.misses += 1
             return None
@@ -1187,7 +1189,7 @@ class PairVerdictCache:
     ) -> _CacheEntry:
         """Record a verdict (evicting the LRU entry when full)."""
         key = (id(left), id(right), annotated)
-        entry = self._get(left, right, annotated)
+        entry = self.peek(left, right, annotated)
         if entry is None:
             dead = self._dead.append
             entry = _CacheEntry(
@@ -1298,7 +1300,7 @@ def pair_verdict(left: Kernel, right: Kernel, annotated: bool = True) -> bool:
 def cached_witness(left: Kernel, right: Kernel):
     """The witness previously stored for this pair, if any (does not
     touch the hit/miss counters — witnesses ride on verdict entries)."""
-    entry = VERDICTS._get(left, right, True)
+    entry = VERDICTS.peek(left, right)
     if entry is None:
         return None
     return entry.witness

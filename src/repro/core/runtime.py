@@ -38,6 +38,14 @@ evolution session:
   fails its pending attempts at once; the scheduler re-sends them to
   the next rendezvous candidate, and the next dispatch re-forks a dead
   local shard in its own slot.
+* **fan out only when it pays** — a caller's worker count is a cap:
+  :meth:`EvolutionRuntime.decide` runs a grid in the parent whenever
+  the measured costs of its chunk function predict that the shards
+  cannot finish it sooner (:class:`Decision`).
+* **shard memos follow the arena** — every digest the arena drops is
+  queued, at the next dispatch, for every shard (and unqueued once the
+  arena holds it again) and rides the shard's next task frame, so a
+  worker forgets what the parent no longer holds.
 
 The scheduler's policy (window, chunk sizing, spill cap, straggler
 threshold) is a set of module constants, not options: one dispatch
@@ -76,10 +84,10 @@ from repro.core.transport import Shard, ShardLostError
 #: Per-worker kernel memo: content digest -> rebuilt Kernel.  Memoized
 #: kernels keep their derived facts (good set, replay trie, verdict
 #: cache entries) alive across dispatches — the whole point of the
-#: persistent shards.  Keyed by digest, the memo survives arena
-#: eviction + republish and is transport-agnostic.  Bounded so an
-#: extremely long session with many distinct kernels cannot grow a
-#: worker without limit.
+#: persistent shards.  Keyed by digest, the memo is transport-agnostic.
+#: A digest leaves it when the parent's arena drops it
+#: (:func:`forget_kernels`, fed by the task frames); the count bound
+#: is the backstop for a parent that never says so.
 _WORKER_KERNELS: OrderedDict = OrderedDict()
 _WORKER_KERNELS_MAX = 128
 
@@ -128,6 +136,15 @@ def kernel_for(digest: str) -> Kernel:
     return kernel
 
 
+def forget_kernels(digests) -> None:
+    """Drop *digests* from this worker's kernel memo — the digests the
+    parent's arena dropped since it last sent a task here.  Runs on the
+    task thread, before the task resolves its own digests, so a digest
+    the parent published again is simply fetched again."""
+    for digest in digests:
+        _WORKER_KERNELS.pop(digest, None)
+
+
 # -- the arena -----------------------------------------------------------------
 
 
@@ -166,6 +183,7 @@ class KernelArena:
         self.hits = 0
         self.dedup_hits = 0
         self._entries: OrderedDict = OrderedDict()
+        self._dropped: list = []
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -241,7 +259,7 @@ class KernelArena:
             # dispatch was in flight — the pin is on the *entry*.
             entry.pins -= 1
             if entry.doomed and entry.pins <= 0:
-                del self._entries[digest]
+                self._drop(digest)
 
     def discard(self, kernel) -> None:
         """Unpublish *kernel* (e.g. its process version was replaced).
@@ -265,11 +283,22 @@ class KernelArena:
         if entry.pins > 0:
             entry.doomed = True
         else:
-            del self._entries[digest]
+            self._drop(digest)
+
+    def take_dropped(self) -> list[str]:
+        """The digests that left the arena since the last call — the
+        shards' forget log (a digest published again since is back in
+        the arena, which the shards' queues check).  An entry leaves
+        when its last kernel is discarded while unpinned, when its last
+        pin is released after a discard, or when it ages out as least
+        recently used; :meth:`close` logs nothing."""
+        dropped, self._dropped = self._dropped, []
+        return dropped
 
     def close(self) -> None:
         """Drop every entry (the arena is empty afterwards)."""
         self._entries.clear()
+        self._dropped.clear()
 
     def _evict(self, keep=None) -> None:
         """Age out unpinned LRU entries past maxsize.  The *keep*
@@ -283,7 +312,11 @@ class KernelArena:
                 break
             if entry.pins > 0 or digest == keep:
                 continue
-            del self._entries[digest]
+            self._drop(digest)
+
+    def _drop(self, digest: str) -> None:
+        del self._entries[digest]
+        self._dropped.append(digest)
 
 
 # -- the runtime ---------------------------------------------------------------
@@ -334,6 +367,59 @@ _EWMA_ALPHA = 0.25
 #: Completion-queue poll interval: bounds how stale a straggler check
 #: can be while the scheduler waits for the next completion.
 _POLL_SECONDS = 0.01
+
+#: Forces the fan-out decision (:meth:`EvolutionRuntime.decide`) for a
+#: test or bench that must time one path: None lets the measured costs
+#: decide, True fans out every grid that may fan out, False runs every
+#: grid in the parent.
+_FORCE_FAN_OUT: bool | None = None
+
+#: A cost-table sample counts for at most this many times the estimate
+#: it folds into.  One stall (a collection pause, a descheduled process)
+#: must not flip a decision: the path not taken measures nothing, so it
+#: could never take the flip back.
+_COST_SAMPLE_CAP = 4.0
+
+
+def _ewma(previous: float | None, sample: float) -> float:
+    """Fold *sample* into an EWMA (*previous* None: the first sample)."""
+    if previous is None:
+        return sample
+    return previous + _EWMA_ALPHA * (sample - previous)
+
+
+def _fold_cost(table: dict, name: str, sample: float) -> None:
+    """Fold *sample* into *table*'s EWMA for *name*, capped at
+    :data:`_COST_SAMPLE_CAP` times the current estimate."""
+    previous = table.get(name)
+    if previous:
+        sample = min(sample, _COST_SAMPLE_CAP * previous)
+    table[name] = _ewma(previous, sample)
+
+
+class Decision:
+    """One grid's fan-out decision (:meth:`EvolutionRuntime.decide`).
+
+    ``fan_out`` names the path; ``predicted_s`` is the time the runtime
+    predicted for it (0.0 while it had no estimate); ``started`` is the
+    monotonic clock at the decision, so the path's actual time covers
+    all it does — a fan-out's publish, routing and round trips, a
+    serial loop's checks.  ``computed`` counts the items a fanned-out
+    path computed when its chunks say so (a sweep adds its shards'
+    verdict-cache misses as chunks arrive); None counts every item it
+    dispatched.  The path closes the decision:
+    :meth:`~EvolutionRuntime.map_streaming` for a fan-out,
+    :meth:`~EvolutionRuntime.ran_serial` for a grid run in the parent.
+    """
+
+    __slots__ = ("name", "fan_out", "predicted_s", "started", "computed")
+
+    def __init__(self, name: str, fan_out: bool, predicted_s: float):
+        self.name = name
+        self.fan_out = fan_out
+        self.predicted_s = predicted_s
+        self.started = time.monotonic()
+        self.computed: int | None = None
 
 
 class _Chunk:
@@ -639,6 +725,10 @@ class EvolutionRuntime:
     ``repro shard-worker`` processes), the fleet is those remote
     workers instead.  ``stats()`` exposes the running counters the
     sweep report, the service ``/metrics`` and the scaling bench read.
+
+    A caller's worker count is a cap, not an order: :meth:`decide`
+    fans a grid out only when the costs this runtime measured predict
+    the shards finish it sooner than the parent would.
     """
 
     def __init__(self, shards: list[str] | None = None):
@@ -674,6 +764,22 @@ class EvolutionRuntime:
         #: backups keep winning.  Cleared with the pool: the next
         #: fleet's processes are new.
         self.shard_pair_ewma: dict = {}
+        #: The fan-out decision's cost table, per chunk function name:
+        #: compute seconds per computed item (an EWMA fed by the
+        #: parent's serial loops and by the compute the shards report)
+        #: and per-dispatch fan-out overhead (an EWMA of wall time
+        #: minus the busiest shard's compute), each sample capped at
+        #: :data:`_COST_SAMPLE_CAP` times the estimate.  The overhead is
+        #: cleared with the pool, so a new fleet's dispatches fan out
+        #: until a clean one measures it again.
+        self.item_cost: dict = {}
+        self.fanout_overhead: dict = {}
+        #: Decisions per path, with their predicted and actual seconds.
+        self.decisions = {
+            f"{stat}_{path}": 0
+            for stat in ("decisions", "predicted_s", "actual_s")
+            for path in ("fanned", "serial")
+        }
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -753,6 +859,7 @@ class EvolutionRuntime:
             shard.close()
         self._shards = []
         self.shard_pair_ewma.clear()
+        self.fanout_overhead.clear()
 
     def _count_fetch(self, nbytes: int) -> None:
         """Shard callback: one fetch-on-miss served, *nbytes* of
@@ -768,7 +875,93 @@ class EvolutionRuntime:
         duration of a dispatch; yields their content digests."""
         return _Published(self, list(kernels))
 
-    def map_chunked(self, func, items, payload_of, workers: int, key_of):
+    # -- the fan-out decision ----------------------------------------------
+
+    def decide(
+        self, func, workers: int | None, items: int, unanswered: int
+    ) -> Decision:
+        """Decide whether a grid of *items* fans out through *func*.
+
+        *workers* caps the shards the grid may use; *unanswered* counts
+        the items the parent cannot answer from its own caches.  The
+        grid fans out when ``workers > 1``, it has more than one item,
+        and its predicted fanned time — the overhead estimate plus
+        ``items × per-item cost ÷ shards used`` — is below its
+        predicted serial time, ``unanswered × per-item cost``.  A chunk
+        function with no overhead estimate yet — none of its fanned-out
+        dispatches was clean (:meth:`map_streaming`), or none since
+        :meth:`restart_pool` — fans out as it always did, which is how
+        one gets measured; an estimate moves only when its own path
+        runs.  :data:`_FORCE_FAN_OUT` overrides the prediction.
+        """
+        name = func.__name__
+        cost = self.item_cost.get(name, 0.0)
+        predicted = unanswered * cost
+        fan_out = bool(workers and workers > 1 and items > 1)
+        if fan_out:
+            overhead = self.fanout_overhead.get(name)
+            fanned = None
+            if overhead is not None:
+                shards = len(self.shard_addresses) or max(
+                    workers, len(self._shards)
+                )
+                fanned = overhead + items * cost / min(items, shards)
+            if _FORCE_FAN_OUT is not None:
+                fan_out = _FORCE_FAN_OUT
+            elif fanned is not None:
+                fan_out = fanned < predicted
+            if fan_out:
+                predicted = fanned or 0.0
+        return Decision(name, fan_out, predicted)
+
+    def ran_serial(self, decision: Decision, computed: int) -> dict:
+        """Close a *decision* whose grid ran in the parent: its time
+        per computed item (a cache answer computes nothing) feeds the
+        function's per-item cost.  Returns the decision's counts under
+        :class:`~repro.core.sweep.SweepReport` field names."""
+        seconds = time.monotonic() - decision.started
+        if computed:
+            _fold_cost(self.item_cost, decision.name, seconds / computed)
+        return self._close(decision, seconds)
+
+    def _ran_fanned(
+        self, decision: Decision, computes: list, items: int, clean: bool,
+    ) -> dict:
+        """Close a fanned-out *decision*; *computes* holds each shard's
+        reported compute seconds during the dispatch.  Only a *clean*
+        dispatch — on a fleet it did not fork or connect, every chunk
+        won by its one attempt — feeds the estimates: per-item cost
+        from the shards' total compute per computed item (the
+        decision's ``computed``, else all *items*), overhead from the
+        wall time the busiest shard's compute does not explain."""
+        seconds = time.monotonic() - decision.started
+        if clean and computes:
+            name = decision.name
+            computed = decision.computed
+            if computed is None:
+                computed = items
+            if computed:
+                _fold_cost(self.item_cost, name, sum(computes) / computed)
+            _fold_cost(
+                self.fanout_overhead, name, max(0.0, seconds - max(computes))
+            )
+        return self._close(decision, seconds)
+
+    def _close(self, decision: Decision, seconds: float) -> dict:
+        path = "fanned" if decision.fan_out else "serial"
+        self.decisions[f"decisions_{path}"] += 1
+        self.decisions[f"predicted_s_{path}"] += decision.predicted_s
+        self.decisions[f"actual_s_{path}"] += seconds
+        return {
+            f"decisions_{path}": 1,
+            "predicted_s": decision.predicted_s,
+            "actual_s": seconds,
+        }
+
+    def map_chunked(
+        self, func, items, payload_of, workers: int, key_of,
+        decision: Decision | None = None,
+    ):
         """Fan *items* out and reassemble the results in input order.
 
         The batch face of :meth:`map_streaming`, for consumers that
@@ -786,7 +979,7 @@ class EvolutionRuntime:
         results: list = [None] * len(items)
         for indices, chunk_results, _ in self.map_streaming(
             func, items, payload_of, workers, key_of,
-            _chunk_size=len(items),
+            decision=decision, _chunk_size=len(items),
         ):
             for index, result in zip(indices, chunk_results):
                 results[index] = result
@@ -822,34 +1015,21 @@ class EvolutionRuntime:
         """Fold one completed *attempt* into *shard*'s per-pair EWMA —
         the relative-speed signal that keeps stealing and speculation
         from ever moving work onto a slower shard."""
-        per_pair = seconds / max(1, pairs)
-        previous = self.shard_pair_ewma.get(shard)
-        if previous is None:
-            self.shard_pair_ewma[shard] = per_pair
-        else:
-            self.shard_pair_ewma[shard] = previous + _EWMA_ALPHA * (
-                per_pair - previous
-            )
+        self.shard_pair_ewma[shard] = _ewma(
+            self.shard_pair_ewma.get(shard), seconds / max(1, pairs)
+        )
 
     def _observe_latency(self, seconds: float, pairs: int) -> None:
         """Fold one completed chunk into the fleet latency EWMAs."""
-        per_pair = seconds / max(1, pairs)
-        if self.pair_latency_ewma is None:
-            self.pair_latency_ewma = per_pair
-        else:
-            self.pair_latency_ewma += _EWMA_ALPHA * (
-                per_pair - self.pair_latency_ewma
-            )
-        if self.chunk_latency_ewma is None:
-            self.chunk_latency_ewma = seconds
-        else:
-            self.chunk_latency_ewma += _EWMA_ALPHA * (
-                seconds - self.chunk_latency_ewma
-            )
+        self.pair_latency_ewma = _ewma(
+            self.pair_latency_ewma, seconds / max(1, pairs)
+        )
+        self.chunk_latency_ewma = _ewma(self.chunk_latency_ewma, seconds)
 
     def map_streaming(
         self, func, items, payload_of, workers: int, key_of,
-        info: dict | None = None, _chunk_size: int = 0,
+        info: dict | None = None, decision: Decision | None = None,
+        _chunk_size: int = 0,
     ):
         """Pipelined fan-out: yield chunk results in completion order.
 
@@ -898,15 +1078,33 @@ class EvolutionRuntime:
         clock.  Each scheduler event is counted once, in the dispatch's
         record and the runtime's running total together; when the
         dispatch ends, the record is copied into *info*, when given.
+        Given the fan-out *decision* that sent the grid here, the end
+        of the dispatch closes it: its counts join the record, and a
+        dispatch that completed on a fleet it did not start, with one
+        attempt per chunk, feeds the function's cost estimates with the
+        compute the shards reported.
         """
         items = list(items)
         if not items:
             return
+        pool_starts = self.pool_starts
         self.ensure_pool(min(workers, len(items)))
+        warm_fleet = self.pool_starts == pool_starts
+        attempts = self.chunks_dispatched
         self.dispatches += 1
         self.routed_tasks += len(items)
+        shards = self._shards
+        # The shards' memos follow the arena: what it dropped since the
+        # last dispatch rides each shard's next task frame, unless the
+        # arena holds it again by then.  Pins keep any attempt in
+        # flight from naming a dropped digest.
+        dropped = self.arena.take_dropped()
+        computed_before = []
+        for shard in shards:
+            shard.forget(dropped, held=self.arena)
+            computed_before.append(shard.compute_seconds)
         dispatch = _Dispatch(
-            self, self._shards, func, items, payload_of, key_of, _chunk_size
+            self, shards, func, items, payload_of, key_of, _chunk_size
         )
         try:
             while dispatch.remaining:
@@ -933,6 +1131,23 @@ class EvolutionRuntime:
                 except queue.Empty:  # pragma: no cover - hung worker
                     break
                 dispatch.drain(event, time.monotonic())
+            if decision is not None:
+                # A fork or connect, a backup or a re-send would bill
+                # its cost to the overhead of every later dispatch.
+                one_attempt_each = (
+                    self.chunks_dispatched - attempts
+                    == dispatch.record["chunks"]
+                )
+                dispatch.record.update(self._ran_fanned(
+                    decision,
+                    [
+                        shard.compute_seconds - before
+                        for shard, before in zip(shards, computed_before)
+                    ],
+                    len(items),
+                    clean=warm_fleet and one_attempt_each
+                    and not dispatch.remaining,
+                ))
             if info is not None:
                 info.update(dispatch.record)
 
@@ -961,6 +1176,7 @@ class EvolutionRuntime:
             "inflight_high_water": self.inflight_high_water,
             "chunk_size_hist": dict(self.chunk_size_hist),
             "chunk_pairs_total": self.chunk_pairs_total,
+            **self.decisions,
         }
 
     def describe(self) -> str:
@@ -987,7 +1203,14 @@ class EvolutionRuntime:
             f"({stats['speculative_wins']} win(s)), "
             f"{stats['stolen_chunks']} stolen, "
             f"{stats['cancelled_chunks']} cancelled, "
-            f"in-flight high water {stats['inflight_high_water']}"
+            f"in-flight high water {stats['inflight_high_water']}; "
+            "fan-out: "
+            f"{stats['decisions_fanned']} grid(s) fanned out (predicted "
+            f"{stats['predicted_s_fanned']:.4f} s, took "
+            f"{stats['actual_s_fanned']:.4f} s), "
+            f"{stats['decisions_serial']} run in the parent (predicted "
+            f"{stats['predicted_s_serial']:.4f} s, took "
+            f"{stats['actual_s_serial']:.4f} s)"
         )
 
 
@@ -1023,13 +1246,16 @@ def get_runtime() -> EvolutionRuntime:
     return _DEFAULT
 
 
-def discard_kernel(kernel) -> None:
-    """Unpublish *kernel* from the default runtime's arena, if one is
-    live (fire-and-forget compile-eviction hook: replacing a process
-    version drops its predecessor's arena entry as soon as the version
-    stops being the lineage anchor)."""
-    if _DEFAULT is not None and not _DEFAULT._closed:
-        _DEFAULT.arena.discard(kernel)
+def discard_kernel(kernel, runtime: EvolutionRuntime | None = None) -> None:
+    """Unpublish *kernel* from *runtime*'s arena, or from the default
+    runtime's when none is given and one exists (fire-and-forget
+    eviction hook: replacing a process version drops its predecessor's
+    arena entry as soon as the version stops being the lineage anchor,
+    and the service drops what an evicted session or a finished
+    request owned)."""
+    runtime = runtime or _DEFAULT
+    if runtime is not None:
+        runtime.arena.discard(kernel)
 
 
 def shutdown_runtime() -> None:

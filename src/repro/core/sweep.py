@@ -32,9 +32,12 @@ The sweep engine batches the whole pair grid into one pass:
   objects by identity, and ``kernel_of`` memoizes on the view
   instance), and the ε-free forms are memo hits across every pair a
   participant appears in;
-* **persistent fan-out** — with ``workers > 1`` the pair grid is
+* **persistent fan-out** — with ``workers > 1`` the pair grid may be
   dispatched through the shared evolution runtime
-  (:mod:`repro.core.runtime`): unique participant kernels are
+  (:mod:`repro.core.runtime`), which fans it out only when its
+  measured costs predict the shards finish sooner than the parent
+  (:meth:`~repro.core.runtime.EvolutionRuntime.decide`; ``workers``
+  caps the shards).  Fanned out, unique participant kernels are
   *published once* into the content-addressed arena and chunks carry
   only content digests + pair indices, pairs are routed to shards by
   rendezvous hashing on their kernel digests (so repeated *and
@@ -68,6 +71,7 @@ from repro.afsa.lazy import (
 from repro.afsa.serialize import kernel_digest
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.runtime import (
+    Decision,
     EvolutionRuntime,
     get_runtime,
     kernel_for,
@@ -135,7 +139,12 @@ class SweepReport:
     transport.  ``chunks`` / ``speculative_*`` / ``stolen_chunks`` /
     ``cancelled_chunks`` / ``inflight_high_water`` describe the
     pipelined scheduler's behaviour on this sweep (empty/zero on
-    serial sweeps); ``undecided`` counts the pairs a fail-fast
+    serial sweeps).  ``decisions_fanned`` / ``decisions_serial``
+    count the runtime's fan-out decision for the grid (one of them is
+    1 when the caller allowed more than one worker), with the seconds
+    the runtime ``predicted_s`` for the path it chose and the
+    ``actual_s`` that path took; ``workers`` is 1 when the grid ran in
+    the parent.  ``undecided`` counts the pairs a fail-fast
     sweep (``stop_on_first_inconsistency``) cancelled before they were
     checked — a completed sweep always reports zero.
     """
@@ -161,6 +170,10 @@ class SweepReport:
     stolen_chunks: int = 0
     cancelled_chunks: int = 0
     inflight_high_water: int = 0
+    decisions_fanned: int = 0
+    decisions_serial: int = 0
+    predicted_s: float = 0.0
+    actual_s: float = 0.0
     undecided: int = 0
 
     @property
@@ -223,6 +236,13 @@ class SweepReport:
             if self.cancelled_chunks:
                 line += f", {self.cancelled_chunks} cancelled"
             lines.append(line)
+        if self.decisions_fanned or self.decisions_serial:
+            path = "fanned out" if self.decisions_fanned else "in the parent"
+            lines.append(
+                f"fan-out decision: {path} (predicted "
+                f"{self.predicted_s * 1e3:.2f} ms, took "
+                f"{self.actual_s * 1e3:.2f} ms)"
+            )
         if self.warm_seeded:
             lines.append(
                 f"warm-start: {self.warm_seeded} verdict(s) seeded "
@@ -412,6 +432,22 @@ def _check_arena_chunk(payload):
     return results, _since(before, _engine_counters())
 
 
+def _unanswered(kernels: list, index_pairs: list, witnesses: str) -> int:
+    """The grid's pairs the parent cannot answer from
+    :data:`~repro.afsa.lazy.VERDICTS` — no verdict, or no witness where
+    the policy asks for one.  The lookups are uncounted
+    (:meth:`~repro.afsa.lazy.PairVerdictCache.peek`)."""
+    missing = 0
+    for li, ri in index_pairs:
+        entry = VERDICTS.peek(kernels[li], kernels[ri])
+        if entry is None or (entry.witness is None and (
+            witnesses == WITNESS_ALL
+            or (witnesses == WITNESS_FAILURES and not entry.consistent)
+        )):
+            missing += 1
+    return missing
+
+
 def _chunk_payload(chunk, digests, lineage_digests, witnesses):
     """One worker payload: the chunk's pairs re-indexed against only
     the kernel digests it uses (plus the ancestor digests of its
@@ -478,14 +514,26 @@ def _sweep_grid_streaming(
     undecided.  The sweep's counters are added to *report* as they
     happen; they are complete once the generator is exhausted or
     closed.
+
+    With ``workers > 1`` the runtime decides whether the grid fans out
+    (:meth:`~repro.core.runtime.EvolutionRuntime.decide`); a grid it
+    keeps in the parent runs the serial loop below, whose time per
+    computed verdict feeds the runtime's cost estimate.
     """
-    if workers and workers > 1 and len(index_pairs) > 1:
+    decision = None
+    if workers and workers > 1:
         runtime = runtime or get_runtime()
-        yield from _sweep_grid_fanout(
-            kernels, index_pairs, witnesses, workers, runtime,
-            report, stop_on_first,
+        decision = runtime.decide(
+            _check_arena_chunk, workers, len(index_pairs),
+            _unanswered(kernels, index_pairs, witnesses),
         )
-        return
+        if decision.fan_out:
+            yield from _sweep_grid_fanout(
+                kernels, index_pairs, witnesses, workers, runtime,
+                report, stop_on_first, decision,
+            )
+            return
+        report.workers = 1
 
     before = _engine_counters()
     try:
@@ -497,7 +545,10 @@ def _sweep_grid_streaming(
             if stop_on_first and not result[0]:
                 break
     finally:
-        report.add(_since(before, _engine_counters()))
+        counts = _since(before, _engine_counters())
+        report.add(counts)
+        if decision is not None:
+            report.add(runtime.ran_serial(decision, counts["cache_misses"]))
 
 
 def _sweep_grid_fanout(
@@ -508,6 +559,7 @@ def _sweep_grid_fanout(
     runtime: EvolutionRuntime,
     report: SweepReport,
     stop_on_first: bool,
+    decision: Decision,
 ):
     """The fan-out half of :func:`_sweep_grid_streaming`: publish the
     grid's kernels once, dispatch through the runtime's pipelined
@@ -522,15 +574,6 @@ def _sweep_grid_fanout(
         old = lineage_of(kernel)
         if old is not None:
             ancestors[index] = old
-    # The routing key is the pair's *lineage-rooted* content:
-    # rendezvous hashing on concatenated digests keeps an
-    # evolved-but-overlapping grid landing on warm shards, and an
-    # evolved participant keys on its ancestry's root so the pair
-    # returns to the shard that retained the pre-evolution
-    # exploration it will seed from.
-    route_digests = [
-        kernel_digest(_lineage_root(kernel)) for kernel in kernels
-    ]
     try:
         with runtime.published(
             list(kernels) + list(ancestors.values())
@@ -539,6 +582,17 @@ def _sweep_grid_fanout(
                 index: digests[len(kernels) + position]
                 for position, index in enumerate(ancestors)
             }
+            # The routing key is the pair's *lineage-rooted* content:
+            # rendezvous hashing on concatenated digests keeps an
+            # evolved-but-overlapping grid landing on warm shards, and
+            # an evolved participant keys on its ancestry's root so the
+            # pair returns to the shard that retained the pre-evolution
+            # exploration it will seed from.  Publishing set every
+            # published kernel's digest, so only a root further back
+            # than the shipped ancestor is serialized here.
+            route_digests = [
+                kernel_digest(_lineage_root(kernel)) for kernel in kernels
+            ]
 
             def payload_of(chunk):
                 return _chunk_payload(
@@ -549,6 +603,9 @@ def _sweep_grid_fanout(
                 return route_digests[pair[0]] + route_digests[pair[1]]
 
             dispatch: dict = {}
+            # The pairs the shards computed are their verdict-cache
+            # misses, the measure the serial loop's cost uses too.
+            decision.computed = 0
             grid = runtime.map_streaming(
                 _check_arena_chunk,
                 index_pairs,
@@ -556,11 +613,13 @@ def _sweep_grid_fanout(
                 workers,
                 key_of=key_of,
                 info=dispatch,
+                decision=decision,
             )
             try:
                 stopped = False
                 for positions, chunk_results, counts in grid:
                     report.add(counts)
+                    decision.computed += counts["cache_misses"]
                     for position, result in zip(positions, chunk_results):
                         yield position, result
                         if stop_on_first and not result[0]:
@@ -659,13 +718,18 @@ def sweep_pairs(
 
 def conversing_pairs(choreography) -> list[tuple[str, str]]:
     """The pair grid of a choreography: sorted party pairs that
-    actually exchange messages (the only ones Sect. 6 checks)."""
+    actually exchange messages (the only ones Sect. 6 checks).  Each
+    party's partner set is computed once."""
     parties = choreography.parties()
+    partners = {
+        party: set(choreography.conversation_partners(party))
+        for party in parties
+    }
     return [
         (left, right)
         for index, left in enumerate(parties)
         for right in parties[index + 1:]
-        if right in choreography.conversation_partners(left)
+        if right in partners[left]
     ]
 
 

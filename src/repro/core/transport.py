@@ -15,11 +15,15 @@ The wire discipline is deliberately minimal:
 
 * every frame is an 8-byte little-endian length header followed by a
   pickled tuple;
-* the parent drives: ``("task", id, "module:function", payload)``
-  asks the worker to run one chunk function;
-* the worker answers ``("result", id, value)`` or ``("error", id,
-  traceback_text)`` — a task that raised surfaces in the parent as
-  :class:`RemoteTaskError` carrying the worker's traceback;
+* the parent drives: ``("task", id, "module:function", payload,
+  forget)`` asks the worker to run one chunk function, after it has
+  dropped the *forget* digests — the kernels the parent's arena
+  dropped since its last task to this shard — from its kernel memo;
+* the worker answers ``("result", id, value, seconds)`` — *seconds*
+  is the task's compute time on the worker, its waits for fetched
+  payloads left out — or ``("error", id, traceback_text)``: a task
+  that raised surfaces in the parent as :class:`RemoteTaskError`
+  carrying the worker's traceback;
 * in between, the worker may interleave ``("need", id, [digests])``
   requests — *fetch-on-miss* for kernel payloads it has not memoized
   yet — which the parent serves from its arena with ``("blob", id,
@@ -61,6 +65,7 @@ import pickle
 import signal
 import socket
 import threading
+import time
 import traceback
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -156,7 +161,10 @@ def _serve_connection(conn: socket.socket) -> None:
     :func:`~repro.core.runtime.kernel_for` pulls missing payloads over
     this very connection; the hook is restored after every task so a
     stale socket can never leak into a later dispatch (the task thread
-    outlives individual tasks).
+    outlives individual tasks).  Each task first drops its frame's
+    forgotten digests from the kernel memo
+    (:func:`~repro.core.runtime.forget_kernels`) — on the task thread,
+    the memo's only user — and is timed there, less its fetch waits.
 
     At EOF the running task is allowed to finish (a fetch it starts
     fails at once) and the queued ones are dropped: nobody is left to
@@ -179,8 +187,12 @@ def _serve_connection(conn: socket.socket) -> None:
         except (ConnectionError, OSError):
             pass  # parent vanished; the reader loop notices next
 
-    def run_task(task_id, path, payload) -> None:
+    def run_task(task_id, path, payload, forget) -> None:
+        waited = 0.0
+
         def fetch(digest):
+            nonlocal waited
+            asked = time.perf_counter()
             waiter = _BlobWaiter()
             with waiters_lock:
                 if closed:
@@ -189,12 +201,17 @@ def _serve_connection(conn: socket.socket) -> None:
             send(("need", task_id, [digest]))
             if not waiter.event.wait(timeout=60) or waiter.blobs is None:
                 raise ConnectionError("parent stopped serving blobs")
+            waited += time.perf_counter() - asked
             return waiter.blobs[digest]
 
+        _runtime.forget_kernels(forget)
         previous = _runtime.set_payload_fetcher(fetch)
         try:
+            started = time.perf_counter()
+            value = resolve_task(path)(payload)
+            seconds = time.perf_counter() - started - waited
             # A result that fails to pickle is reported like a raise.
-            send(("result", task_id, resolve_task(path)(payload)))
+            send(("result", task_id, value, seconds))
         except Exception:
             send(("error", task_id, traceback.format_exc()))
         finally:
@@ -212,8 +229,8 @@ def _serve_connection(conn: socket.socket) -> None:
                     waiter.blobs = message[2]
                     waiter.event.set()
             elif kind == "task":
-                _, task_id, path, payload = message
-                executor.submit(run_task, task_id, path, payload)
+                _, task_id, path, payload, forget = message
+                executor.submit(run_task, task_id, path, payload, forget)
             else:
                 send(("error", None, f"unknown frame {kind!r}"))
     finally:
@@ -324,16 +341,24 @@ class Shard:
     :class:`ShardLostError` and the handle stays closed.
     :attr:`inflight` is the pending-task count — the invariance tests
     assert it drains to zero after every sweep, cancelled ones
-    included.
+    included.  :attr:`compute_seconds` sums the compute time the
+    shard's result frames report, so a dispatch reads each shard's
+    share as a delta.  :meth:`forget` queues digests for the next task
+    frame; :meth:`close` sends nothing, so a remote worker keeps its
+    memo for the next parent.
     """
 
     def __init__(self, sock, name: str, blob_of, on_fetch=None, pid=None):
         self.name = name
         #: The forked child's pid (None for a remote shard).
         self.pid = pid
+        #: Worker compute seconds reported by every result so far.
+        self.compute_seconds = 0.0
         self._sock = sock
         self._blob_of = blob_of
         self._on_fetch = on_fetch
+        #: Digests to forget, in drop order (a dict as an ordered set).
+        self._forget: dict = {}
         self._pending: dict = {}
         self._lock = threading.Lock()
         self._send_lock = threading.Lock()
@@ -374,22 +399,34 @@ class Shard:
         """False once the connection has ended, for whatever reason."""
         return not self._closed
 
+    def forget(self, digests, held) -> None:
+        """Queue *digests* for the worker to drop from its kernel memo,
+        and unqueue every queued digest that is in *held* (the parent
+        published it again: the worker's copy is live); the next task
+        frame carries the queue."""
+        with self._lock:
+            self._forget.update(dict.fromkeys(digests))
+            for digest in [d for d in self._forget if d in held]:
+                del self._forget[digest]
+
     def submit(self, func, payload, done) -> None:
         """Run ``func(payload)`` on the shard; ``done(value, error)``
         is called exactly once, on the reader thread (or inline when
-        the shard is already closed)."""
+        the shard is already closed).  The task frame carries every
+        digest queued by :meth:`forget` since the last one."""
         path = f"{func.__module__}:{func.__name__}"
         with self._lock:
             task_id = None if self._closed else self._next_id
             if task_id is not None:
                 self._next_id += 1
                 self._pending[task_id] = done
+                forget, self._forget = list(self._forget), {}
         if task_id is None:
             done(None, ShardLostError(f"shard {self.name}: closed"))
             return
         try:
             with self._send_lock:
-                send_msg(self._sock, ("task", task_id, path, payload))
+                send_msg(self._sock, ("task", task_id, path, payload, forget))
         except Exception as exc:
             with self._lock:
                 done = self._pending.pop(task_id, None)
@@ -443,6 +480,7 @@ class Shard:
                 if done is None:
                     continue  # the task already failed parent-side
                 if kind == "result":
+                    self.compute_seconds += message[3]
                     done(message[2], None)
                 else:
                     done(None, RemoteTaskError(

@@ -21,8 +21,11 @@ equivalence classes first (:meth:`~repro.instances.store.InstanceStore.
 classes`), each class is replayed once through the memoized
 :class:`~repro.instances.replay.ReplayCache`, and verdicts are
 broadcast to every member.  With ``workers > 1`` the distinct classes
-are fanned out through the persistent evolution runtime
-(:mod:`repro.core.runtime`): the models are *published once* to the
+may be fanned out through the persistent evolution runtime
+(:mod:`repro.core.runtime`), which does so when its measured costs
+predict the shards finish sooner than the parent
+(:meth:`~repro.core.runtime.EvolutionRuntime.decide`; ``workers``
+caps the shards).  Fanned out, the models are *published once* to the
 content-addressed kernel arena and chunks carry digest references plus
 trace texts, workers resolve and memoize the kernels (and their replay
 tries) by digest across dispatches, trace classes route to shards by
@@ -343,8 +346,9 @@ def classify_fleet(
             migrated records when *apply* is set.
         witnesses: witness policy (:data:`WITNESS_NONE`,
             :data:`WITNESS_FAILURES`, :data:`WITNESS_ALL`).
-        workers: fan the distinct trace classes out over this many
-            worker processes; ``None``/``0``/``1`` classifies serially.
+        workers: let the runtime fan the distinct trace classes out
+            over up to this many worker processes when it predicts
+            that pays; ``None``/``0``/``1`` classifies serially.
             Verdicts and witnesses are identical for every value.
         apply: write the verdicts back to the store — migratable
             records move to *new_version* (status stays running),
@@ -362,11 +366,18 @@ def classify_fleet(
         trace_by_id.setdefault(id(trace), trace)
     ordered = list(trace_by_id.values())
 
-    if workers and workers > 1 and len(ordered) > 1:
+    decision = None
+    if workers and workers > 1:
+        # Every class is computed either way: the parent caches no
+        # class verdicts across calls.
+        runtime = runtime or get_runtime()
+        decision = runtime.decide(
+            _classify_arena_chunk, workers, len(ordered), len(ordered)
+        )
+    if decision is not None and decision.fan_out:
         # The models are published once to the content-addressed
         # arena (an arena hit for every later classification of the
         # same version pair); chunks carry digests + trace texts.
-        runtime = runtime or get_runtime()
         kernels = [kernel_of(target)]
         if old_model is not None:
             kernels.append(kernel_of(old_model))
@@ -394,6 +405,7 @@ def classify_fleet(
                     [digests[0]]
                     + [text_of(label_id) for label_id in trace]
                 ),
+                decision=decision,
             )
         results_by_id = {
             id(trace): result
@@ -413,11 +425,13 @@ def classify_fleet(
             )
             for trace in ordered
         }
+        if decision is not None:
+            runtime.ran_serial(decision, len(ordered))
 
     report = MigrationReport(
         old_version=version or "",
         new_version=new_version,
-        workers=workers or 1,
+        workers=workers if decision is not None and decision.fan_out else 1,
     )
     for (_, trace), records in classes.items():
         verdict, continuation, blocked, compliant_with_old = results_by_id[

@@ -77,10 +77,19 @@ class InstanceStore:
         before the spawn folds them in on its next refresh instead of
         silently reporting a fleet that no longer exists.
         """
+        return self.add_interned(version, self.intern_trace(labels), status)
+
+    def add_interned(
+        self, version: str, trace: tuple, status: str = RUNNING
+    ) -> InstanceRecord:
+        """:meth:`add` for a *trace* this store's :meth:`intern_trace`
+        returned: the shared tuple is recorded as is, without interning
+        its labels again (fleet generation adds thousands of records
+        drawn from a few dozen traces)."""
         record = InstanceRecord(
             id=len(self._records),
             version=version,
-            trace=self.intern_trace(labels),
+            trace=trace,
             status=status,
         )
         self._records.append(record)

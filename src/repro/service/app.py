@@ -52,7 +52,7 @@ from repro.bpel.dsl import process_from_dsl
 from repro.bpel.xml_io import process_from_xml
 from repro.core.choreography import Choreography
 from repro.core.engine import EvolutionEngine
-from repro.core.runtime import get_runtime
+from repro.core.runtime import discard_kernel, get_runtime
 from repro.core.sweep import (
     WITNESS_ALL,
     WITNESS_FAILURES,
@@ -986,7 +986,7 @@ class ChoreoService:
                 old = choreography.public(party)
                 new = compile_process(model).afsa
                 version = choreography.current_version(party)
-                return version, classify_migration(
+                report = classify_migration(
                     choreography.instances,
                     old,
                     new,
@@ -996,6 +996,11 @@ class ChoreoService:
                     apply=False,
                     runtime=self.runtime,
                 )
+                # The candidate belongs to this request: nothing else
+                # would ever unpublish it (and so make the shards
+                # forget it).
+                discard_kernel(new._kernel, self.runtime)
+                return version, report
 
             version, report = await self._run_engine(compute)
         return 200, {

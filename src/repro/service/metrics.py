@@ -347,6 +347,31 @@ def render_metrics(
         "Highest concurrent in-flight chunk-attempt count observed.",
     )
 
+    for name, stat, help_text in (
+        (
+            "repro_runtime_fanout_decisions_total",
+            "decisions",
+            "Grids the runtime fanned out or ran in the parent, by path.",
+        ),
+        (
+            "repro_runtime_fanout_predicted_seconds_total",
+            "predicted_s",
+            "Seconds the runtime predicted for the path it chose.",
+        ),
+        (
+            "repro_runtime_fanout_actual_seconds_total",
+            "actual_s",
+            "Seconds the chosen paths took.",
+        ),
+    ):
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} counter")
+        for path in ("fanned", "serial"):
+            lines.append(
+                f'{name}{{path="{path}"}} '
+                f'{round(runtime_stats[f"{stat}_{path}"], 6)}'
+            )
+
     name = "repro_runtime_chunk_pairs"
     chunk_hist = runtime_stats["chunk_size_hist"]
     lines.append(

@@ -120,18 +120,22 @@ class Session:
 
     def resident_kernels(self) -> list:
         """The kernels this session holds in the shared caches: every
-        *already compiled* public process and its memoized views.
+        *already compiled* public process, every lineage anchor (the
+        previous version of an evolved party, kept for warm starts),
+        and their memoized views.
 
         Only materialized kernels are collected — eviction must not
         trigger compilation of models nobody ever asked about.
         """
+        choreography = self.choreography
+        publics = [
+            compiled.afsa for compiled in choreography._compiled.values()
+        ]
+        publics.extend(choreography._lineage.values())
         kernels = []
-        for party in self.choreography.parties():
-            compiled = self.choreography._compiled.get(party)
-            if compiled is None:
-                continue
-            automata = [compiled.afsa]
-            view_memo = compiled.afsa._view_memo
+        for public in publics:
+            automata = [public]
+            view_memo = public._view_memo
             if view_memo:
                 automata.extend(view_memo.values())
             for automaton in automata:
@@ -359,8 +363,5 @@ def release_sessions(sessions: list, runtime=None) -> None:
     for session in sessions:
         kernels.extend(session.resident_kernels())
     for kernel in kernels:
-        if runtime is not None:
-            runtime.arena.discard(kernel)
-        else:
-            discard_kernel(kernel)
+        discard_kernel(kernel, runtime)
     VERDICTS.invalidate_kernels(kernels)

@@ -116,7 +116,8 @@ def _corrupt(kernel: Kernel, base: tuple, rng: random.Random, salt: int) -> tupl
     prefix = list(base[:cut])
     states = _replay_ids(kernel, prefix)
     enabled = {lid for state in states for lid in kernel.adj[state]}
-    candidates = sorted(kernel.alphabet_ids - enabled)
+    # By text, not by id: ids follow the process's first-intern order.
+    candidates = sorted(kernel.alphabet_ids - enabled, key=INTERNER.text)
     if candidates:
         prefix.append(rng.choice(candidates))
     else:
@@ -192,7 +193,10 @@ def generate_fleet(
     weights = [max(0.0, weight) for weight in mix]
     if len(weights) != 3 or not sum(weights):
         raise ValueError("mix must be three non-negative weights")
+    # Intern each pool trace once; every record shares its tuple.
+    for category, pool in pools.items():
+        pools[category] = [store.intern_trace(trace) for trace in pool]
     for _ in range(instances):
         category = rng.choices(categories, weights=weights)[0]
-        store.add(version, rng.choice(pools[category]))
+        store.add_interned(version, rng.choice(pools[category]))
     return store

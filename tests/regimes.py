@@ -5,6 +5,9 @@ selects a regime, so tests force one with what they own:
 
 * :func:`scheduler` patches the scheduler's constants in
   :mod:`repro.core.runtime` for the duration of a ``with`` block:
+  :data:`FAN_OUT` fans out every grid that may (``workers > 1``, more
+  than one item) and :data:`NO_FAN_OUT` runs every grid in the
+  parent, whatever the measured costs predict;
   :data:`FORCED_SPECULATION` backs up every chunk older than 2 ms,
   :data:`NO_SPECULATION` makes the straggler threshold infinite (no
   backups and no steals), and ``_WINDOW`` / ``_SPILL_FACTOR`` set the
@@ -25,6 +28,12 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import runtime as runtime_module
+
+#: Fan out every grid that may fan out.
+FAN_OUT = {"_FORCE_FAN_OUT": True}
+
+#: Run every grid in the parent.
+NO_FAN_OUT = {"_FORCE_FAN_OUT": False}
 
 #: Back up any chunk older than 2 ms.
 FORCED_SPECULATION = {"_SPECULATE_MULTIPLE": 0.0, "_SPECULATE_FLOOR_S": 0.002}

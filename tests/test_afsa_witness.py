@@ -21,6 +21,7 @@ from the materialized eager product.  The contract pinned down here:
 
 from hypothesis import given, settings, strategies as st
 
+from regimes import FAN_OUT, scheduler
 from repro.afsa.automaton import AFSA
 from repro.afsa.emptiness import kernel_witness
 from repro.afsa.kernel import (
@@ -231,7 +232,8 @@ class TestWitnessCountersAndWorkers:
     def test_workers_1_and_4_extract_identical_witnesses(self):
         pairs = _mixed_kernel_grid()
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL, workers=1)
-        fanned = sweep_pairs(pairs, witnesses=WITNESS_ALL, workers=4)
+        with scheduler(**FAN_OUT):
+            fanned = sweep_pairs(pairs, witnesses=WITNESS_ALL, workers=4)
         for (s_ok, s_wit), (f_ok, f_wit) in zip(serial, fanned):
             assert s_ok == f_ok
             _assert_identical(s_wit, f_wit)
@@ -259,7 +261,8 @@ class TestWitnessCountersAndWorkers:
         before = warm_stats()["eager_oracle"]
         pairs = _mixed_kernel_grid()
         sweep_pairs(pairs, witnesses=WITNESS_FAILURES)
-        sweep_pairs(pairs, witnesses=WITNESS_ALL, workers=2)
+        with scheduler(**FAN_OUT):
+            sweep_pairs(pairs, witnesses=WITNESS_ALL, workers=2)
         choreography = generate_choreography(seed=17, spokes=3, steps=3)
         sweep_choreography(choreography, witnesses=WITNESS_ALL)
         assert warm_stats()["eager_oracle"] == before

@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from regimes import FAN_OUT, scheduler
 from repro.bpel.xml_io import process_to_xml
 from repro.cli import main
+from repro.core.runtime import get_runtime
 from repro.scenario.procurement import (
     accounting_private,
     accounting_private_subtractive_change,
@@ -129,7 +131,10 @@ class TestMigrateCommand:
                 "--fleet", "120", "--seed", "5", "--json"]
         main(args)
         serial = json.loads(capsys.readouterr().out)
-        main(args + ["--workers", "4"])
+        dispatches = get_runtime().dispatches
+        with scheduler(**FAN_OUT):
+            main(args + ["--workers", "4"])
+        assert get_runtime().dispatches == dispatches + 1
         fanned = json.loads(capsys.readouterr().out)
         assert serial["counts"] == fanned["counts"]
         assert serial["verdicts"] == fanned["verdicts"]

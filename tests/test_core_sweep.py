@@ -8,6 +8,7 @@ fan-out to shards is a pure wall-clock optimization.
 
 import pytest
 
+from regimes import FAN_OUT, scheduler
 from repro.afsa.emptiness import is_consistent
 from repro.core.choreography import Choreography
 from repro.core.negotiation import ChangeNegotiation, PartnerAgent
@@ -101,6 +102,23 @@ class TestSweepChoreography:
         # and logistics never exchange messages directly.
         assert pairs == [("A", "B"), ("A", "L")]
 
+    @pytest.mark.parametrize("seed, spokes", [(3, 4), (17, 9), (29, 16)])
+    def test_conversing_pairs_equal_the_brute_force_grid(self, seed, spokes):
+        """Partner sets computed once per party give exactly the grid
+        that asking for every pair's partners gives."""
+        choreography = generate_choreography(
+            seed=seed, spokes=spokes, steps=3
+        )
+        parties = choreography.parties()
+        brute_force = [
+            (left, right)
+            for index, left in enumerate(parties)
+            for right in parties[index + 1:]
+            if right in choreography.conversation_partners(left)
+        ]
+        assert conversing_pairs(choreography) == brute_force
+        assert len(brute_force) >= spokes
+
     def test_explicit_pair_subset(self, procurement):
         sweep = sweep_choreography(procurement, pairs=[("A", "B")])
         assert len(sweep.outcomes) == 1
@@ -112,9 +130,10 @@ class TestWorkerDeterminism:
         choreography = generate_choreography(seed=31, spokes=3, steps=3)
         serial = sweep_choreography(choreography, witnesses=WITNESS_ALL)
         for workers in (2, 3):
-            parallel = sweep_choreography(
-                choreography, witnesses=WITNESS_ALL, workers=workers
-            )
+            with scheduler(**FAN_OUT):
+                parallel = sweep_choreography(
+                    choreography, witnesses=WITNESS_ALL, workers=workers
+                )
             assert parallel.workers == workers
             assert [
                 (o.left, o.right, o.consistent)
@@ -133,7 +152,9 @@ class TestWorkerDeterminism:
 
     def test_parallel_detects_inconsistency(self, broken_procurement):
         serial = sweep_choreography(broken_procurement)
-        parallel = sweep_choreography(broken_procurement, workers=2)
+        with scheduler(**FAN_OUT):
+            parallel = sweep_choreography(broken_procurement, workers=2)
+        assert parallel.workers == 2
         assert [o.consistent for o in parallel.outcomes] == [
             o.consistent for o in serial.outcomes
         ]
@@ -141,7 +162,8 @@ class TestWorkerDeterminism:
 
     def test_choreography_check_consistency_workers(self, procurement):
         serial = procurement.check_consistency()
-        parallel = procurement.check_consistency(workers=2)
+        with scheduler(**FAN_OUT):
+            parallel = procurement.check_consistency(workers=2)
         assert serial.describe() == parallel.describe()
 
     def test_sweep_pairs_order_is_input_order(self):
@@ -152,7 +174,8 @@ class TestWorkerDeterminism:
         left = project_view(compile_process(initiator).afsa, "R")
         right = project_view(compile_process(responder).afsa, "I")
         pairs = [(left, right), (right, left), (left, right)]
-        results = sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=2)
+        with scheduler(**FAN_OUT):
+            results = sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=2)
         assert len(results) == 3
         assert all(consistent for consistent, _ in results)
 
@@ -187,7 +210,8 @@ class TestWitnessPoliciesUnderWorkers:
     def test_policy_identical_at_1_and_4_workers(self, policy):
         pairs = _mixed_grid()
         serial = sweep_pairs(pairs, witnesses=policy, workers=1)
-        fanned = sweep_pairs(pairs, witnesses=policy, workers=4)
+        with scheduler(**FAN_OUT):
+            fanned = sweep_pairs(pairs, witnesses=policy, workers=4)
         assert len(serial) == len(fanned) == len(pairs)
         for (s_ok, s_wit), (f_ok, f_wit) in zip(serial, fanned):
             assert s_ok == f_ok
@@ -206,9 +230,9 @@ class TestWitnessPoliciesUnderWorkers:
     )
     def test_policy_shape(self, policy):
         pairs = _mixed_grid()
-        for consistent, witness in sweep_pairs(
-            pairs, witnesses=policy, workers=4
-        ):
+        with scheduler(**FAN_OUT):
+            results = sweep_pairs(pairs, witnesses=policy, workers=4)
+        for consistent, witness in results:
             if policy == WITNESS_NONE:
                 assert witness is None
             elif policy == WITNESS_FAILURES:
@@ -270,6 +294,7 @@ class TestNegotiationSweep:
             negotiation_module, "afsa_from_json", counting_parse
         )
         dispatches = get_runtime().dispatches
-        assert negotiation.check_consistency(workers=2) is consistent
+        with scheduler(**FAN_OUT):
+            assert negotiation.check_consistency(workers=2) is consistent
         assert get_runtime().dispatches == dispatches + 1
         assert len(parsed) == len(set(parsed)) == 4

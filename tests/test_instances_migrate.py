@@ -9,6 +9,7 @@ the evolution engine, and the negotiation protocol.
 
 from hypothesis import given, settings, strategies as st
 
+from regimes import FAN_OUT, scheduler
 from repro.bpel.compile import compile_process
 from repro.core.choreography import Choreography
 from repro.core.engine import EvolutionEngine
@@ -156,14 +157,15 @@ class TestWorkerDeterminism:
             store, old, new, version="A#v1", witnesses=WITNESS_ALL
         )
         for workers in (2, 4):
-            fanned = classify_migration(
-                store,
-                old,
-                new,
-                version="A#v1",
-                witnesses=WITNESS_ALL,
-                workers=workers,
-            )
+            with scheduler(**FAN_OUT):
+                fanned = classify_migration(
+                    store,
+                    old,
+                    new,
+                    version="A#v1",
+                    witnesses=WITNESS_ALL,
+                    workers=workers,
+                )
             assert fanned.workers == workers
             assert self._flat(fanned) == self._flat(serial)
 

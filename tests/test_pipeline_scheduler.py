@@ -26,7 +26,13 @@ import time
 
 import pytest
 
-from regimes import FORCED_SPECULATION, NO_SPECULATION, fork_fleet, scheduler
+from regimes import (
+    FAN_OUT,
+    FORCED_SPECULATION,
+    NO_SPECULATION,
+    fork_fleet,
+    scheduler,
+)
 from repro.afsa.kernel import kernel_of
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import (
@@ -297,7 +303,7 @@ class TestCounterFold:
         slow = _busier_shard(_random_pairs(12, seed=4200))
         reports = []
         with scheduler(
-            _WINDOW=1, _SPILL_FACTOR=1.0, **FORCED_SPECULATION
+            _WINDOW=1, _SPILL_FACTOR=1.0, **FAN_OUT, **FORCED_SPECULATION
         ), EvolutionRuntime() as rt:
             fork_fleet(rt, 2, {slow}, _check_arena_chunk, 0.05)
             for seed in (4200, 8100, 8300):
@@ -366,8 +372,8 @@ class TestTcpPipelining:
                 first = recv_msg(conn)
                 second = recv_msg(conn)
                 received.extend([first, second])
-                send_msg(conn, ("result", second[1], "second-task"))
-                send_msg(conn, ("result", first[1], "first-task"))
+                send_msg(conn, ("result", second[1], "second-task", 0.0))
+                send_msg(conn, ("result", first[1], "first-task", 0.0))
                 # Hold the socket open until the parent disconnects.
                 recv_msg(conn)
 
@@ -400,7 +406,11 @@ class TestTcpPipelining:
         serial = sweep_choreography(choreography, witnesses=WITNESS_ALL)
         server = ShardServer().start()
         try:
-            with EvolutionRuntime(shards=[server.address]) as rt:
+            # The cancelled repeat must reach the shard, not the
+            # parent's verdict cache.
+            with scheduler(**FAN_OUT), EvolutionRuntime(
+                shards=[server.address]
+            ) as rt:
                 tcp = sweep_choreography(
                     choreography, witnesses=WITNESS_ALL, workers=2,
                     runtime=rt,
@@ -428,6 +438,7 @@ class TestTcpPipelining:
                 )
                 next(stream)
                 stream.close()
+                assert rt.dispatches == 2
                 assert rt.inflight == 0
                 assert all(
                     shard.inflight == 0 for shard in rt._shards

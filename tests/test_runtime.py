@@ -23,7 +23,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from regimes import FORCED_SPECULATION, fork_fleet, scheduler
+from regimes import (
+    FAN_OUT,
+    FORCED_SPECULATION,
+    NO_FAN_OUT,
+    fork_fleet,
+    scheduler,
+)
 from repro.afsa.automaton import AFSA
 from repro.afsa.kernel import (
     k_good_states,
@@ -69,9 +75,15 @@ import pytest
 _SEEDS = st.integers(min_value=0, max_value=10_000)
 
 #: Scheduler regimes the invariance suite runs under, each applied
-#: to one test example only: the default, and one that speculates on
-#: any chunk older than 2 ms.
-_REGIMES = {"default": {}, "forced-speculation": FORCED_SPECULATION}
+#: to one test example only: the default (the runtime's fan-out
+#: decision), every grid fanned out, every grid fanned out with a
+#: backup for any chunk older than 2 ms, and every grid in the parent.
+_REGIMES = {
+    "default": {},
+    "fan-out": FAN_OUT,
+    "forced-speculation": {**FAN_OUT, **FORCED_SPECULATION},
+    "no-fan-out": NO_FAN_OUT,
+}
 
 
 @pytest.fixture(scope="module")
@@ -205,7 +217,7 @@ class TestZeroPayloadResweep:
     def test_repeated_sweep_ships_zero_kernel_payloads(self):
         """Acceptance: an unchanged choreography re-swept through the
         persistent runtime publishes nothing — all arena hits."""
-        with EvolutionRuntime() as rt:
+        with scheduler(**FAN_OUT), EvolutionRuntime() as rt:
             choreography = generate_choreography(
                 seed=41, spokes=3, steps=3
             )
@@ -232,11 +244,12 @@ class TestZeroPayloadResweep:
             )
             for i in range(4)
         ]
-        sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=2,
-                    runtime=runtime)
-        size_before = runtime.pool_size
-        sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=4,
-                    runtime=runtime)
+        with scheduler(**FAN_OUT):
+            sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=2,
+                        runtime=runtime)
+            size_before = runtime.pool_size
+            sweep_pairs(pairs, witnesses=WITNESS_NONE, workers=4,
+                        runtime=runtime)
         assert runtime.pool_size >= 4 > 0
         assert size_before < runtime.pool_size
 
@@ -304,13 +317,16 @@ class TestInvariance:
             for i in range(4)
         ]
         serial = sweep_pairs(pairs, witnesses=WITNESS_ALL)
-        with EvolutionRuntime() as rt:
+        # The parent's verdict cache answers every pair by now: forced
+        # fan-out keeps each leg on the shards it is about.
+        with scheduler(**FAN_OUT), EvolutionRuntime() as rt:
             pooled = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
+            assert rt.dispatches == 1
         servers = [ShardServer().start() for _ in range(2)]
         try:
-            with EvolutionRuntime(
+            with scheduler(**FAN_OUT), EvolutionRuntime(
                 shards=[server.address for server in servers],
             ) as rt:
                 tcp = sweep_pairs(
@@ -323,6 +339,7 @@ class TestInvariance:
                     pairs, witnesses=WITNESS_ALL, workers=2,
                     runtime=rt,
                 )
+                assert rt.dispatches == 2
                 assert rt.payload_fetch_bytes == fetched_bytes
         finally:
             for server in servers:
@@ -422,7 +439,9 @@ class TestInvariance:
             random_afsa(seed=306, states=20, labels=4),
             random_afsa(seed=307, states=20, labels=4),
         )
-        with EvolutionRuntime() as rt:
+        # The parent retained its own exploration above: forced
+        # fan-out keeps the seeding on the shards.
+        with scheduler(**FAN_OUT), EvolutionRuntime() as rt:
             _sweep_pairs_report(
                 [(left, right), filler], WITNESS_NONE, 2, rt
             )
@@ -430,6 +449,7 @@ class TestInvariance:
             results, report = _sweep_pairs_report(
                 [(evolved, right), filler], WITNESS_NONE, 2, rt
             )
+        assert report.decisions_fanned == 1
         assert report.warm_seeded >= 1
         assert report.warm_decided >= 1
         serial = sweep_pairs(
@@ -469,7 +489,7 @@ class TestRoutingAffinity:
             random_afsa(seed=690, states=8, labels=4),
             random_afsa(seed=691, states=8, labels=4),
         )
-        with EvolutionRuntime() as rt:
+        with scheduler(**FAN_OUT), EvolutionRuntime() as rt:
             _sweep_pairs_report(base, WITNESS_NONE, 2, rt)  # cold
             _, repeat = _sweep_pairs_report(base, WITNESS_NONE, 2, rt)
             _, shifted = _sweep_pairs_report(
@@ -634,23 +654,30 @@ class TestMigrationThroughRuntime:
         serial = classify_migration(
             store, old, new, version="A#v1", witnesses=WITNESS_ALL
         )
-        fanned = classify_migration(
-            store, old, new, version="A#v1", witnesses=WITNESS_ALL,
-            workers=2, runtime=runtime,
-        )
-        assert [
-            (e.instance, e.verdict, e.continuation, e.blocked_on)
-            for e in fanned.verdicts
-        ] == [
-            (e.instance, e.verdict, e.continuation, e.blocked_on)
-            for e in serial.verdicts
-        ]
-        # The second fan-out ships nothing: both models are arena hits.
-        published0 = runtime.arena.published
-        classify_migration(
-            store, old, new, version="A#v1", witnesses=WITNESS_ALL,
-            workers=2, runtime=runtime,
-        )
+        # The module's runtime has measured costs by now: forced
+        # fan-out keeps both classifications on the shards.
+        with scheduler(**FAN_OUT):
+            fanned = classify_migration(
+                store, old, new, version="A#v1", witnesses=WITNESS_ALL,
+                workers=2, runtime=runtime,
+            )
+            assert fanned.workers == 2
+            assert [
+                (e.instance, e.verdict, e.continuation, e.blocked_on)
+                for e in fanned.verdicts
+            ] == [
+                (e.instance, e.verdict, e.continuation, e.blocked_on)
+                for e in serial.verdicts
+            ]
+            # The second fan-out ships nothing: both models are arena
+            # hits.
+            published0 = runtime.arena.published
+            dispatches = runtime.dispatches
+            classify_migration(
+                store, old, new, version="A#v1", witnesses=WITNESS_ALL,
+                workers=2, runtime=runtime,
+            )
+        assert runtime.dispatches == dispatches + 1
         assert runtime.arena.published == published0
 
     def test_straggling_shard_is_speculated_around(self):

@@ -20,9 +20,12 @@ from unittest import mock
 
 import pytest
 
+from regimes import FAN_OUT, scheduler
 from repro.afsa.lazy import VERDICTS
 from repro.bpel.dsl import process_from_dsl, process_to_dsl
+from repro.core.runtime import EvolutionRuntime, _WORKER_KERNELS
 from repro.core.sweep import WITNESS_ALL, WITNESS_NONE, check_pair
+from repro.core.transport import ShardServer
 from repro.errors import ChangeError
 from repro.scenario.procurement import (
     accounting_private_variant_change,
@@ -33,11 +36,15 @@ from repro.service.app import ChoreoService, ROUTES
 from repro.service.coalesce import Coalescer
 from repro.service.http import HttpError, Request
 from repro.service.tenants import ServiceError
-from repro.workload.generator import generate_partner_pair
+from repro.workload.generator import (
+    generate_choreography,
+    generate_partner_pair,
+)
 from repro.workload.mutations import (
     inject_invariant_additive,
     inject_variant_additive,
     inject_variant_subtractive,
+    random_change,
 )
 
 BUYER = """
@@ -1816,3 +1823,121 @@ class TestCoalescerCancellation:
             assert coalescer.pending() == 0
 
         run(main())
+
+
+def _hub_texts(seed: int, spokes: int = 4) -> dict:
+    """DSL texts of a generated hub-and-spoke choreography, by party."""
+    choreography = generate_choreography(seed=seed, spokes=spokes, steps=3)
+    return {
+        party: process_to_dsl(choreography.private(party))
+        for party in choreography.parties()
+    }
+
+
+class TestShardMemoCascade:
+    """Eviction and ``/migrate`` reach the arena entries a session or a
+    request owned, and through the arena the shards' memos."""
+
+    def test_eviction_reaches_lineage_anchors(self):
+        """A committed ``/evolve`` of the hub with its own text keeps the
+        old version as the lineage anchor, and the re-sweep ships the
+        anchor's views as ancestors; evicting the session drops every
+        one of its arena entries, anchors included."""
+        texts = _hub_texts(seed=5)
+
+        async def main(runtime):
+            service = ChoreoService(max_resident=1, runtime=runtime)
+            try:
+                async def call(path, body):
+                    status, payload = await service.dispatch(
+                        request("POST", path, body)
+                    )
+                    assert status == 200, (path, payload)
+                    return payload
+
+                await call("/tenants", {"tenant": "acme"})
+                await call("/choreographies", {
+                    "tenant": "acme", "name": "c1",
+                    "processes": list(texts.values()),
+                })
+                sweep = {"tenant": "acme", "choreography": "c1",
+                         "workers": 2}
+                await call("/sweep", sweep)
+                evolved = await call("/evolve", {
+                    "tenant": "acme", "choreography": "c1", "party": "H",
+                    "process": texts["H"],
+                })
+                assert evolved["committed"]
+                await call("/sweep", sweep)
+                assert len(runtime.arena) > 0
+                await call("/choreographies", {
+                    "tenant": "acme", "name": "c2",
+                    "processes": [texts["H"], texts["P1"]],
+                })
+                assert service.metrics.evictions == 1
+                assert len(runtime.arena) == 0
+            finally:
+                service.close()
+
+        with scheduler(**FAN_OUT), EvolutionRuntime() as runtime:
+            run(main(runtime))
+
+    def test_shards_forget_an_evicted_session_and_a_migrate_candidate(self):
+        """After an eviction and a ``/migrate``, the next task frame to
+        the shard removes every dropped digest — the evicted session's
+        views and hub, and the request's candidate hub — from the
+        worker's memo."""
+        texts = _hub_texts(seed=6)
+        other = _hub_texts(seed=7, spokes=2)
+        hub = process_from_dsl(texts["H"])
+        _, change, _ = random_change(hub, seed=6)
+        candidate = process_to_dsl(change.apply(hub))
+
+        async def main(runtime):
+            service = ChoreoService(max_resident=1, runtime=runtime)
+            try:
+                async def call(path, body):
+                    status, payload = await service.dispatch(
+                        request("POST", path, body)
+                    )
+                    assert status == 200, (path, payload)
+                    return payload
+
+                await call("/tenants", {"tenant": "acme"})
+                await call("/choreographies", {
+                    "tenant": "acme", "name": "c1",
+                    "processes": list(texts.values()),
+                })
+                c1 = {"tenant": "acme", "choreography": "c1"}
+                await call("/sweep", {**c1, "workers": 2})
+                await call("/fleet", {**c1, "party": "H",
+                                      "instances": 200, "distinct": 8})
+                memo_before = set(_WORKER_KERNELS)
+                await call("/migrate", {**c1, "party": "H",
+                                        "process": candidate,
+                                        "workers": 2})
+                held = set(runtime.arena._entries)
+                # The candidate reached the shard and left the arena.
+                dropped_candidate = set(_WORKER_KERNELS) - memo_before - held
+                assert dropped_candidate
+                await call("/choreographies", {
+                    "tenant": "acme", "name": "c2",
+                    "processes": list(other.values()),
+                })
+                assert len(runtime.arena) == 0
+                dropped = held | dropped_candidate
+                assert dropped <= set(_WORKER_KERNELS)
+                await call("/sweep", {"tenant": "acme",
+                                      "choreography": "c2", "workers": 2})
+                assert not dropped & set(_WORKER_KERNELS)
+            finally:
+                service.close()
+
+        server = ShardServer().start()
+        try:
+            with scheduler(**FAN_OUT), EvolutionRuntime(
+                shards=[server.address]
+            ) as runtime:
+                run(main(runtime))
+        finally:
+            server.stop()

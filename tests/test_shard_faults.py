@@ -58,15 +58,18 @@ def slow_check(payload):
     return CHECK(payload)
 """
 
-#: Shared by the victim scripts: a seeded 24-pair grid, the verdict
-#: key tests compare, and the pids of this process's shards — forked
-#: children running this very command line.
+#: Shared by the victim scripts: every grid fans out (the scripts are
+#: about the shards), a seeded 24-pair grid, the verdict key tests
+#: compare, and the pids of this process's shards — forked children
+#: running this very command line.
 _PRELUDE = _SLOW_CHUNKS + """
 import json, os, signal, sys, threading
 from repro.core import runtime
 from repro.core.runtime import EvolutionRuntime
 from repro.core.sweep import WITNESS_ALL, _sweep_pairs_report, sweep_pairs
 from repro.workload.generator import random_afsa
+
+runtime._FORCE_FAN_OUT = True
 
 PAIRS = [
     (random_afsa(seed=5000 + 7 * i, states=8, labels=4,

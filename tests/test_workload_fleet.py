@@ -1,5 +1,11 @@
 """Tests for the running-instance fleet generators."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings, strategies as st
 
 from repro.afsa.language import annotated_accepts
@@ -113,3 +119,54 @@ class TestGenerateFleet:
             pass
         else:  # pragma: no cover
             raise AssertionError("zero-weight mix must be rejected")
+
+
+#: Generates one fleet of a compiled hub and prints its trace texts;
+#: with ``after-unrelated`` it compiles the procurement processes
+#: first, so their labels take the low interner ids.
+_FLEET_SCRIPT = """
+import json, sys
+from repro.bpel.compile import compile_process
+from repro.instances.store import InstanceStore
+from repro.scenario.procurement import accounting_private, buyer_private
+from repro.workload.fleet import generate_fleet
+from repro.workload.generator import generate_choreography
+
+if sys.argv[1] == "after-unrelated":
+    for process in (buyer_private(), accounting_private()):
+        compile_process(process)
+hub = generate_choreography(seed=3, spokes=6, steps=4).public("H")
+store = generate_fleet(hub, 400, seed=7, distinct=24)
+print(json.dumps([InstanceStore.trace_texts(record)
+                  for record in store._records]))
+"""
+
+
+def _fleet_texts(hash_seed: str, mode: str) -> list:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+    return json.loads(subprocess.run(
+        [sys.executable, "-c", _FLEET_SCRIPT, mode],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    ).stdout)
+
+
+class TestFleetReproducibility:
+    def test_fleet_is_a_function_of_the_model_and_seed(self):
+        """Contract 8 for fleets: divergent labels are picked in text
+        order, not interner-id order, so a fleet is the same in fresh
+        interpreters under different hash seeds and after unrelated
+        compiles."""
+        reference = _fleet_texts("1", "fresh")
+        assert len(reference) == 400
+        assert _fleet_texts("2", "fresh") == reference
+        assert _fleet_texts("2", "after-unrelated") == reference
+
+    def test_records_share_the_interned_pool_traces(self):
+        store = generate_fleet(accounting_public(), 500, seed=4, distinct=6)
+        traces = {id(record.trace) for record in store._records}
+        assert len(traces) == len(store.classes())
+        assert all(
+            store.intern_trace(record.trace) is record.trace
+            for record in store._records
+        )
