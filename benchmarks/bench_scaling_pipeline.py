@@ -140,7 +140,7 @@ def test_scaling_pipeline_pipelined_skew(benchmark, monkeypatch):
         benchmark.extra_info["speculation"] = "force"
         benchmark.extra_info["fault"] = fault
         benchmark(_sweep, runtime, grid)
-        assert runtime.speculative_dispatches >= 1
+        assert runtime.counters["speculative_dispatches"] >= 1
 
         def one_round():
             start = perf_counter()

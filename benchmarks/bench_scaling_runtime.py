@@ -117,17 +117,17 @@ def test_scaling_runtime_sweep_warm(benchmark, pairs, monkeypatch):
         )
         results = warm_sweep()  # publishes + spawns the pool once
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
-        published = runtime.arena.published
+        published = runtime.arena.counters["arena_published"]
         results = warm_sweep()  # zero payloads from here on
-        assert runtime.arena.published == published
+        assert runtime.arena.counters["arena_published"] == published
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
 
         benchmark.group = "runtime-sweep-warm"
         benchmark.extra_info["pairs"] = pairs
         benchmark.extra_info["workers"] = SWEEP_WORKERS
         benchmark(warm_sweep)
-        assert runtime.arena.published == published
-        assert runtime.pool_starts == 1
+        assert runtime.arena.counters["arena_published"] == published
+        assert runtime.counters["pool_starts"] == 1
 
 
 # -- cross-version verdict: cold vs warm start --------------------------------
@@ -243,9 +243,9 @@ def test_scaling_runtime_verdict_warm(benchmark, size):
     # certificate region alone (no expansion past the seed) — the row
     # is meaningless if it silently fell back to the cold path.
     stats1 = warm_stats()
-    assert stats1["seeded"] == stats0["seeded"] + 1
+    assert stats1["warm_seeded"] == stats0["warm_seeded"] + 1
     assert (
-        stats1["decided_from_seed"] == stats0["decided_from_seed"] + 1
+        stats1["warm_decided"] == stats0["warm_decided"] + 1
     )
     benchmark.group = "runtime-verdict-warm"
     benchmark.extra_info["states"] = size

@@ -148,10 +148,10 @@ def test_scaling_shards_tcp_repeat(benchmark):
 
         results = tcp_sweep()  # cold: payloads fetched on miss
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
-        assert runtime.payload_fetch_bytes > 0
-        fetched_bytes = runtime.payload_fetch_bytes
+        assert runtime.counters["payload_fetch_bytes"] > 0
+        fetched_bytes = runtime.counters["payload_fetch_bytes"]
         results = tcp_sweep()  # warm: zero payload bytes on the wire
-        assert runtime.payload_fetch_bytes == fetched_bytes
+        assert runtime.counters["payload_fetch_bytes"] == fetched_bytes
         assert [ok for ok, _ in results] == [ok for ok, _ in serial]
 
         benchmark.group = "shards-tcp-repeat"
@@ -159,7 +159,7 @@ def test_scaling_shards_tcp_repeat(benchmark):
         benchmark.extra_info["pairs"] = GRID_PAIRS
         benchmark.extra_info["shards"] = SWEEP_WORKERS
         benchmark(tcp_sweep)
-        assert runtime.payload_fetch_bytes == fetched_bytes
+        assert runtime.counters["payload_fetch_bytes"] == fetched_bytes
     finally:
         runtime.shutdown()
         for server in servers:

@@ -866,28 +866,26 @@ def _warm_exploration(a: Kernel, b: Kernel):
     return None
 
 
-#: Warm-start telemetry: explorations seeded from a retained ancestor,
-#: and how many of those decided without expanding past the seed (the
-#: certificate survived the evolution intact).  Read via
-#: :func:`warm_stats`; cleared by :func:`clear_warm_state`.
-_WARM_STATS = {"seeded": 0, "decided_from_seed": 0}
-
-#: Witness-path telemetry: witnesses extracted by the streaming lazy
-#: engine, extra frontier expansions those extractions needed beyond
-#: the verdict's exploration, and invocations of the test-only eager
-#: oracle (:mod:`repro.afsa.oracle`) — the last must stay zero on
-#: every non-test code path, which the sweep counters assert.
-_WITNESS_STATS = {
-    "witness_lazy": 0,
-    "witness_expansions": 0,
-    "eager_oracle": 0,
-}
+#: The engine's running counters, under the
+#: :class:`~repro.core.sweep.SweepReport` field names: explorations
+#: seeded from a retained ancestor (``warm_seeded``) and those decided
+#: without expanding past the seed (``warm_decided``: the certificate
+#: survived the evolution intact); witnesses the streaming extractor
+#: produced (``witness_lazy``, :mod:`repro.afsa.witness`) and the extra
+#: frontier expansions they needed beyond the verdict's exploration
+#: (``witness_expansions``); and invocations of the test-only eager
+#: oracle (``eager_oracle``, :mod:`repro.afsa.oracle`), which must stay
+#: zero on every non-test code path, as the sweep counters assert.
+#: Read via :func:`warm_stats`; zeroed by :func:`clear_warm_state`.
+COUNTERS = dict.fromkeys((
+    "warm_seeded", "warm_decided", "witness_lazy", "witness_expansions",
+    "eager_oracle",
+), 0)
 
 
 def warm_stats() -> dict:
-    """A copy of the cross-version warm-start and witness-path
-    counters."""
-    return {**_WARM_STATS, **_WITNESS_STATS}
+    """A copy of the engine's running counters (:data:`COUNTERS`)."""
+    return dict(COUNTERS)
 
 
 def retained_exploration(left: Kernel, right: Kernel):
@@ -909,10 +907,7 @@ def clear_warm_state() -> None:
     _LINEAGE.clear()
     _EXPLORATIONS.clear()
     _CORRESPONDENCE.clear()
-    _WARM_STATS["seeded"] = 0
-    _WARM_STATS["decided_from_seed"] = 0
-    for key in _WITNESS_STATS:
-        _WITNESS_STATS[key] = 0
+    COUNTERS.update(dict.fromkeys(COUNTERS, 0))
 
 
 def _decide(exploration: _PairExploration, warmed: bool) -> bool:
@@ -989,11 +984,11 @@ def _lazy_annotated_verdict(a: Kernel, b: Kernel) -> bool:
     if exploration is None:
         exploration = _PairExploration(a, b)
     else:
-        _WARM_STATS["seeded"] += 1
+        COUNTERS["warm_seeded"] += 1
     seeded_cursor = exploration.cursor
     verdict = _decide(exploration, warmed)
     if warmed and exploration.cursor == seeded_cursor:
-        _WARM_STATS["decided_from_seed"] += 1
+        COUNTERS["warm_decided"] += 1
     _remember_exploration(a, b, exploration)
     return verdict
 
@@ -1012,7 +1007,7 @@ def _live_exploration(a: Kernel, b: Kernel) -> _PairExploration:
     if exploration is None:
         exploration = _PairExploration(a, b)
     else:
-        _WARM_STATS["seeded"] += 1
+        COUNTERS["warm_seeded"] += 1
     if exploration.start >= 0:
         _decide(exploration, warmed)
     _remember_exploration(a, b, exploration)
@@ -1125,16 +1120,16 @@ class PairVerdictCache:
     mutating, so an observability surface may call them from another
     thread.
 
-    ``hits`` / ``misses`` are running counters; the sweep engine
-    reports their deltas per run (:meth:`SweepReport.describe`).
+    :attr:`counters` holds the running ``cache_hits`` /
+    ``cache_misses`` of :meth:`lookup`; the sweep engine reports their
+    deltas per run under the same names (:meth:`SweepReport.describe`).
     """
 
-    __slots__ = ("maxsize", "hits", "misses", "_entries", "_dead")
+    __slots__ = ("maxsize", "counters", "_entries", "_dead")
 
     def __init__(self, maxsize: int = 1024):
         self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
+        self.counters = {"cache_hits": 0, "cache_misses": 0}
         self._entries: OrderedDict = OrderedDict()
         self._dead: list = []
 
@@ -1174,10 +1169,10 @@ class PairVerdictCache:
         """Return the cached :class:`_CacheEntry` or None (counted)."""
         entry = self.peek(left, right, annotated)
         if entry is None:
-            self.misses += 1
+            self.counters["cache_misses"] += 1
             return None
         self._entries.move_to_end((id(left), id(right), annotated))
-        self.hits += 1
+        self.counters["cache_hits"] += 1
         return entry
 
     def store(
@@ -1203,23 +1198,14 @@ class PairVerdictCache:
         self._entries.move_to_end(key)
         return entry
 
-    def stats(self) -> tuple:
-        """Return the running ``(hits, misses)`` counters."""
-        return self.hits, self.misses
-
     def info(self) -> dict:
         """Occupancy + counters as one dict (the ``/metrics`` hook).
 
-        Keys: ``size`` (live entries), ``maxsize``, ``hits``,
-        ``misses`` — everything an observability surface needs without
-        reaching into ``_entries``.
+        Keys: ``size`` (live entries), ``maxsize`` and the running
+        :attr:`counters` — everything an observability surface needs
+        without reaching into ``_entries``.
         """
-        return {
-            "size": len(self),
-            "maxsize": self.maxsize,
-            "hits": self.hits,
-            "misses": self.misses,
-        }
+        return {"size": len(self), "maxsize": self.maxsize, **self.counters}
 
     def invalidate_kernels(self, kernels) -> None:
         """Drop every entry whose either operand is one of *kernels*.

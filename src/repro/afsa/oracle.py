@@ -44,7 +44,7 @@ def eager_pair_verdict(left: Kernel, right: Kernel) -> bool:
     either operand carries negation (the lazy engine's documented
     dual-rail exactness).
     """
-    _lazy._WITNESS_STATS["eager_oracle"] += 1
+    _lazy.COUNTERS["eager_oracle"] += 1
     a = k_remove_epsilon(left)
     b = k_remove_epsilon(right)
     product = k_intersect(a, b)
@@ -61,7 +61,7 @@ def eager_pair_witness(left: Kernel, right: Kernel) -> EmptinessWitness:
     same diagnosed-region blocked report (``_diagnosed_region`` below
     mirrors the lazy exploration's locally-dead pruning eagerly).
     """
-    _lazy._WITNESS_STATS["eager_oracle"] += 1
+    _lazy.COUNTERS["eager_oracle"] += 1
     a = k_remove_epsilon(left)
     b = k_remove_epsilon(right)
     product = k_intersect(a, b)

@@ -88,7 +88,7 @@ def lazy_pair_witness(left: Kernel, right: Kernel) -> EmptinessWitness:
     witness = exploration.witness
     if witness is not None:
         return witness
-    _lazy._WITNESS_STATS["witness_lazy"] += 1
+    _lazy.COUNTERS["witness_lazy"] += 1
     if not exploration.positive:
         witness = _dual_witness(exploration)
     else:
@@ -124,12 +124,12 @@ def _positive_witness(exploration) -> EmptinessWitness:
                     return EmptinessWitness(
                         empty=False, word=word, path=path
                     )
-            _lazy._WITNESS_STATS["witness_expansions"] += 1
+            _lazy.COUNTERS["witness_expansions"] += 1
             exploration.expand(max(64, 2 * exploration.cursor))
             continue
         if exploration.exhausted:
             return _blocked_report(exploration, good_lo)
-        _lazy._WITNESS_STATS["witness_expansions"] += 1
+        _lazy.COUNTERS["witness_expansions"] += 1
         if 0 not in k_good_states(exploration._optimistic_kernel()):
             # The verdict is already certifiably empty: the blocked
             # report spans the whole diagnosed region, so run the
@@ -146,7 +146,7 @@ def _dual_witness(exploration) -> EmptinessWitness:
     documented :func:`~repro.afsa.kernel.k_good_states_naive`
     semantics — drives both witness shapes."""
     if not exploration.exhausted:
-        _lazy._WITNESS_STATS["witness_expansions"] += 1
+        _lazy.COUNTERS["witness_expansions"] += 1
         exploration.expand(float("inf"))
     good, _ = exploration.dual_rail()
     if 0 in good:
@@ -321,7 +321,9 @@ def _blocked_report(exploration, good) -> EmptinessWitness:
 
     # Boundary pairs were never expanded; their supported labels come
     # straight from the operand adjacency (a successor outside the
-    # diagnosed region is never good).
+    # diagnosed region is never good — a seeded exploration may still
+    # hold good pairs the evolved product no longer reaches).
+    region_good = good.intersection(reachable)
     amask, bmask = exploration.amask, exploration.bmask
     a_adj, b_adj = a.adj, b.adj
     for pid in boundary:
@@ -337,7 +339,7 @@ def _blocked_report(exploration, good) -> EmptinessWitness:
             mask ^= low
             lid = low.bit_length() - 1
             if any(
-                index.get(ta * nb + tb, -1) in good
+                index.get(ta * nb + tb, -1) in region_good
                 for ta in row_a[lid]
                 for tb in row_b[lid]
             ):

@@ -120,9 +120,6 @@ def cmd_sweep(args) -> int:
     fanned_out = bool(
         (args.workers and args.workers > 1) or args.transport == "tcp"
     )
-    per_call = fanned_out and args.per_call_pool
-    report = None
-    stats_line = None
     owned = None
     try:
         if args.transport == "tcp":
@@ -136,37 +133,20 @@ def cmd_sweep(args) -> int:
         else:
             workers = args.workers
         for _ in range(max(1, args.repeat)):
-            if per_call and owned is None:
-                # Throwaway runtime per sweep: pool spawn + kernel
-                # publication are paid on *every* repeat — the cold
-                # baseline the persistent default amortizes away (and
-                # what the scaling bench measures).
-                with EvolutionRuntime() as runtime:
-                    report = sweep_choreography(
-                        choreography,
-                        witnesses=args.witnesses,
-                        workers=workers,
-                        runtime=runtime,
-                        stop_on_first_inconsistency=args.fail_fast,
-                    )
-                    # Captured while the runtime is alive; shutdown
-                    # unlinks the arena and would report empty
-                    # counters.
-                    stats_line = runtime.describe()
-            else:
-                report = sweep_choreography(
-                    choreography,
-                    witnesses=args.witnesses,
-                    workers=workers,
-                    runtime=owned,
-                    stop_on_first_inconsistency=args.fail_fast,
-                )
-                stats_line = (owned or get_runtime()).describe()
+            report = sweep_choreography(
+                choreography,
+                witnesses=args.witnesses,
+                workers=workers,
+                runtime=owned,
+                stop_on_first_inconsistency=args.fail_fast,
+            )
+        # Read while the runtime is alive: shutdown empties the arena.
+        stats_line = (owned or get_runtime()).describe()
     finally:
         if owned is not None:
             owned.shutdown()
     print(report.describe())
-    if args.stats and fanned_out and stats_line is not None:
+    if args.stats and fanned_out:
         print(stats_line)
     return 0 if report.consistent else 1
 
@@ -340,26 +320,15 @@ def cmd_migrate(args) -> int:
             store=store,
         )
 
-    from repro.core.runtime import EvolutionRuntime
-
-    owned = None
-    runtime = None
-    if args.workers and args.workers > 1 and args.per_call_pool:
-        owned = runtime = EvolutionRuntime()
-    try:
-        report = classify_migration(
-            store,
-            old_model,
-            new_model,
-            version=old_version,
-            new_version=new_version,
-            workers=args.workers,
-            apply=True,
-            runtime=runtime,
-        )
-    finally:
-        if owned is not None:
-            owned.shutdown()
+    report = classify_migration(
+        store,
+        old_model,
+        new_model,
+        version=old_version,
+        new_version=new_version,
+        workers=args.workers,
+        apply=True,
+    )
     if args.json:
         print(
             json.dumps(
@@ -565,12 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         "zero kernel payloads — the persistent-runtime demo)",
     )
     sweep_cmd.add_argument(
-        "--per-call-pool",
-        action="store_true",
-        help="use a throwaway worker pool + arena per invocation "
-        "instead of the persistent runtime (the cold baseline)",
-    )
-    sweep_cmd.add_argument(
         "--stats",
         action="store_true",
         help="print runtime pool/arena counters after the sweep",
@@ -690,12 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="fan the trace classes out over worker processes "
         "(verdicts are identical for every worker count)",
-    )
-    migrate_cmd.add_argument(
-        "--per-call-pool",
-        action="store_true",
-        help="use a throwaway worker pool + arena instead of the "
-        "persistent evolution runtime",
     )
     migrate_cmd.add_argument(
         "--json",

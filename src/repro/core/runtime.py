@@ -77,6 +77,7 @@ from repro.afsa.serialize import (
 )
 from repro.core.routing import rendezvous_rank, route
 from repro.core.transport import Shard, ShardLostError
+from repro.histogram import Histogram
 
 
 # -- worker-side kernel resolution ---------------------------------------------
@@ -168,20 +169,23 @@ class KernelArena:
     """Bounded store of published kernel payloads.
 
     Keyed on *content digest*: two kernel objects whose canonical wire
-    bytes are identical share one entry (``dedup_hits``), and the
+    bytes are identical share one entry (``arena_dedup_hits``), and the
     digest — stable across eviction/republish and across processes —
     is what routing, worker memos and chunk payloads carry; shards
     fetch the bytes by digest (:meth:`payload_of`) on a memo miss.
-    ``published`` / ``hits`` are running counters; consumers report
+    :attr:`counters` holds the running counters; consumers report
     their deltas per dispatch.
     """
 
     def __init__(self, maxsize: int = 256):
         self.maxsize = maxsize
-        self.published = 0
-        self.published_bytes = 0
-        self.hits = 0
-        self.dedup_hits = 0
+        #: Entries published, the bytes they hold, publishes of an
+        #: object already in its entry, and publishes of a new object
+        #: onto an existing digest.
+        self.counters = dict.fromkeys((
+            "arena_published", "arena_published_bytes", "arena_hits",
+            "arena_dedup_hits",
+        ), 0)
         self._entries: OrderedDict = OrderedDict()
         self._dropped: list = []
 
@@ -202,10 +206,10 @@ class KernelArena:
         if entry is not None:
             self._entries.move_to_end(digest)
             if id(kernel) in entry.kernels:
-                self.hits += 1
+                self.counters["arena_hits"] += 1
             else:
                 entry.kernels[id(kernel)] = kernel
-                self.dedup_hits += 1
+                self.counters["arena_dedup_hits"] += 1
             if _pin:
                 entry.pins += 1
             return digest
@@ -217,8 +221,8 @@ class KernelArena:
             # Pin *before* evicting: a dispatch pinning more kernels
             # than maxsize must never lose the entry it just published.
             entry.pins += 1
-        self.published += 1
-        self.published_bytes += len(payload)
+        self.counters["arena_published"] += 1
+        self.counters["arena_published_bytes"] += len(payload)
         self._evict(keep=digest)
         return digest
 
@@ -339,9 +343,6 @@ def shm_segments() -> set[str]:
         return set()
 
 
-#: Chunk-size histogram bucket upper bounds (pairs per chunk).
-CHUNK_BUCKETS = (1, 2, 4, 8, 16, 32, 64)
-
 #: The scheduler's policy.  These are constants, not options: no
 #: caller needs another value, and a test that forces a regime patches
 #: them for its own duration.
@@ -459,9 +460,9 @@ class _Dispatch:
 
     Every scheduler event is counted once, into :attr:`record` (under
     :class:`~repro.core.sweep.SweepReport` field names) and into the
-    *runtime*'s running total of the same name at the same time; the
-    runtime also keeps the fleet latency EWMAs and the in-flight gauge
-    the dispatch feeds.
+    *runtime*'s running counter of the same name at the same time; the
+    runtime also keeps the fleet latency EWMAs, the in-flight gauge and
+    the chunk-size histogram the dispatch feeds.
     """
 
     def __init__(
@@ -491,7 +492,7 @@ class _Dispatch:
                     payload_of([items[index] for index in part]),
                     rendezvous_rank(keys[part[0]], pool_size),
                 ))
-                runtime._record_chunk_size(len(part))
+                runtime.counters["chunk_pairs"].observe(len(part))
         #: Chunks not yet won.
         self.remaining = sum(len(pending) for pending in self.queued)
         self.record["chunks"] = self.remaining
@@ -604,7 +605,7 @@ class _Dispatch:
 
     def _count(self, name: str, amount: int = 1) -> None:
         self.record[name] += amount
-        setattr(self.runtime, name, getattr(self.runtime, name) + amount)
+        self.runtime.counters[name] += amount
 
     def _send(
         self, chunk: _Chunk, shard: int, now: float, speculative=False
@@ -620,11 +621,11 @@ class _Dispatch:
         self.record["inflight_high_water"] = max(
             self.record["inflight_high_water"], self.outstanding
         )
-        runtime = self.runtime
-        runtime.chunks_dispatched += 1
-        runtime.inflight += 1
-        runtime.inflight_high_water = max(
-            runtime.inflight_high_water, runtime.inflight
+        counters = self.runtime.counters
+        counters["chunks_dispatched"] += 1
+        counters["inflight"] += 1
+        counters["inflight_high_water"] = max(
+            counters["inflight_high_water"], counters["inflight"]
         )
         self.shards[shard].submit(
             self.func,
@@ -643,7 +644,7 @@ class _Dispatch:
         self.inflight[shard] -= 1
         del self.busy[shard][(id(chunk), attempt)]
         self.outstanding -= 1
-        self.runtime.inflight -= 1
+        self.runtime.counters["inflight"] -= 1
         chunk.outstanding -= 1
         if error is None:
             self.runtime._observe_shard_latency(
@@ -723,8 +724,8 @@ class EvolutionRuntime:
     recycles all of them — the cold-restart case the invariance suite
     pins down.  Given *shards* (``host:port`` addresses of running
     ``repro shard-worker`` processes), the fleet is those remote
-    workers instead.  ``stats()`` exposes the running counters the
-    sweep report, the service ``/metrics`` and the scaling bench read.
+    workers instead.  :meth:`stats` hands out the running counters the
+    sweep report, the service ``/metrics`` and ``--stats`` read.
 
     A caller's worker count is a cap, not an order: :meth:`decide`
     fans a grid out only when the costs this runtime measured predict
@@ -735,24 +736,24 @@ class EvolutionRuntime:
         self.shard_addresses = list(shards or [])
         self.arena = KernelArena()
         self._shards: list = []
-        self.pool_starts = 0
-        self.dispatches = 0
-        self.routed_tasks = 0
-        self.routing_spilled = 0
-        self.payload_fetches = 0
-        self.payload_fetch_bytes = 0
+        #: The running counters (the arena keeps its own), under the
+        #: :class:`~repro.core.sweep.SweepReport` field name wherever
+        #: the report carries the count too.  ``inflight`` is the
+        #: attempts in flight now; ``decisions_*``, ``predicted_s_*``
+        #: and ``actual_s_*`` count the fan-out decisions per path
+        #: (:meth:`decide`) with their predicted and actual seconds;
+        #: ``chunk_pairs`` is the histogram of pairs per chunk.
+        self.counters = dict.fromkeys((
+            "pool_starts", "dispatches", "routed_tasks", "routing_spilled",
+            "payload_fetches", "payload_fetch_bytes", "chunks_dispatched",
+            "speculative_dispatches", "speculative_wins", "stolen_chunks",
+            "cancelled_chunks", "inflight", "inflight_high_water",
+            "decisions_fanned", "decisions_serial", "predicted_s_fanned",
+            "predicted_s_serial", "actual_s_fanned", "actual_s_serial",
+        ), 0)
+        self.counters["chunk_pairs"] = Histogram((1, 2, 4, 8, 16, 32, 64))
         #: Shards' reader threads serve fetches concurrently.
         self._fetch_lock = threading.Lock()
-        self.chunks_dispatched = 0
-        self.speculative_dispatches = 0
-        self.speculative_wins = 0
-        self.stolen_chunks = 0
-        self.cancelled_chunks = 0
-        self.inflight = 0
-        self.inflight_high_water = 0
-        self.chunk_size_hist = {bound: 0 for bound in CHUNK_BUCKETS}
-        self.chunk_size_hist["inf"] = 0
-        self.chunk_pairs_total = 0
         #: Fleet-wide latency EWMAs (seconds), fed by every completed
         #: chunk: per-pair drives adaptive chunk sizing, per-chunk the
         #: straggler threshold.
@@ -774,12 +775,6 @@ class EvolutionRuntime:
         #: until a clean one measures it again.
         self.item_cost: dict = {}
         self.fanout_overhead: dict = {}
-        #: Decisions per path, with their predicted and actual seconds.
-        self.decisions = {
-            f"{stat}_{path}": 0
-            for stat in ("decisions", "predicted_s", "actual_s")
-            for path in ("fanned", "serial")
-        }
         self._closed = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -821,7 +816,7 @@ class EvolutionRuntime:
                         shard.close()
                     raise
                 self._shards = shards
-                self.pool_starts += 1
+                self.counters["pool_starts"] += 1
             return
         needed = max(1, workers)
         dead = [
@@ -836,7 +831,7 @@ class EvolutionRuntime:
             self._shards[slot] = self._fork(slot)
         while len(self._shards) < needed:
             self._shards.append(self._fork(len(self._shards)))
-        self.pool_starts += 1
+        self.counters["pool_starts"] += 1
 
     def _fork(self, slot: int) -> Shard:
         return Shard.fork(slot, self.arena.payload_of, self._count_fetch)
@@ -865,8 +860,8 @@ class EvolutionRuntime:
         """Shard callback: one fetch-on-miss served, *nbytes* of
         payload shipped to a worker."""
         with self._fetch_lock:
-            self.payload_fetches += 1
-            self.payload_fetch_bytes += nbytes
+            self.counters["payload_fetches"] += 1
+            self.counters["payload_fetch_bytes"] += nbytes
 
     # -- dispatch ----------------------------------------------------------
 
@@ -949,9 +944,9 @@ class EvolutionRuntime:
 
     def _close(self, decision: Decision, seconds: float) -> dict:
         path = "fanned" if decision.fan_out else "serial"
-        self.decisions[f"decisions_{path}"] += 1
-        self.decisions[f"predicted_s_{path}"] += decision.predicted_s
-        self.decisions[f"actual_s_{path}"] += seconds
+        self.counters[f"decisions_{path}"] += 1
+        self.counters[f"predicted_s_{path}"] += decision.predicted_s
+        self.counters[f"actual_s_{path}"] += seconds
         return {
             f"decisions_{path}": 1,
             "predicted_s": decision.predicted_s,
@@ -1000,14 +995,6 @@ class EvolutionRuntime:
             adaptive = max(1, int(0.025 / ewma))
             size = max(1, min(size, adaptive))
         return size
-
-    def _record_chunk_size(self, size: int) -> None:
-        self.chunk_pairs_total += size
-        for bound in CHUNK_BUCKETS:
-            if size <= bound:
-                self.chunk_size_hist[bound] += 1
-                return
-        self.chunk_size_hist["inf"] += 1
 
     def _observe_shard_latency(
         self, shard: int, seconds: float, pairs: int
@@ -1087,12 +1074,13 @@ class EvolutionRuntime:
         items = list(items)
         if not items:
             return
-        pool_starts = self.pool_starts
+        counters = self.counters
+        pool_starts = counters["pool_starts"]
         self.ensure_pool(min(workers, len(items)))
-        warm_fleet = self.pool_starts == pool_starts
-        attempts = self.chunks_dispatched
-        self.dispatches += 1
-        self.routed_tasks += len(items)
+        warm_fleet = counters["pool_starts"] == pool_starts
+        attempts = counters["chunks_dispatched"]
+        counters["dispatches"] += 1
+        counters["routed_tasks"] += len(items)
         shards = self._shards
         # The shards' memos follow the arena: what it dropped since the
         # last dispatch rides each shard's next task frame, unless the
@@ -1135,7 +1123,7 @@ class EvolutionRuntime:
                 # A fork or connect, a backup or a re-send would bill
                 # its cost to the overhead of every later dispatch.
                 one_attempt_each = (
-                    self.chunks_dispatched - attempts
+                    counters["chunks_dispatched"] - attempts
                     == dispatch.record["chunks"]
                 )
                 dispatch.record.update(self._ran_fanned(
@@ -1152,31 +1140,16 @@ class EvolutionRuntime:
                 info.update(dispatch.record)
 
     def stats(self) -> dict:
-        """Running counters (arena + pool + routing) as one flat dict."""
+        """The running counters, the arena's with them, as they are,
+        plus the arena's entry count, the running shard count and the
+        transport — the one dict the sweep report, the service
+        ``/metrics`` and :meth:`describe` read."""
         return {
-            "published": self.arena.published,
-            "published_bytes": self.arena.published_bytes,
-            "arena_hits": self.arena.hits,
-            "arena_dedup_hits": self.arena.dedup_hits,
+            **self.counters,
+            **self.arena.counters,
             "arena_entries": len(self.arena),
-            "pool_starts": self.pool_starts,
             "pool_size": len(self._shards),
-            "dispatches": self.dispatches,
             "transport": "tcp" if self.shard_addresses else "mp",
-            "routed_tasks": self.routed_tasks,
-            "routing_spilled": self.routing_spilled,
-            "payload_fetches": self.payload_fetches,
-            "payload_fetch_bytes": self.payload_fetch_bytes,
-            "chunks_dispatched": self.chunks_dispatched,
-            "speculative_dispatches": self.speculative_dispatches,
-            "speculative_wins": self.speculative_wins,
-            "stolen_chunks": self.stolen_chunks,
-            "cancelled_chunks": self.cancelled_chunks,
-            "inflight": self.inflight,
-            "inflight_high_water": self.inflight_high_water,
-            "chunk_size_hist": dict(self.chunk_size_hist),
-            "chunk_pairs_total": self.chunk_pairs_total,
-            **self.decisions,
         }
 
     def describe(self) -> str:
@@ -1188,8 +1161,8 @@ class EvolutionRuntime:
             f"({stats['pool_starts']} start(s), "
             f"{stats['dispatches']} dispatch(es)); arena: "
             f"{stats['arena_entries']} entr(y/ies), "
-            f"{stats['published']} publish(es) "
-            f"({stats['published_bytes']} bytes), "
+            f"{stats['arena_published']} publish(es) "
+            f"({stats['arena_published_bytes']} bytes), "
             f"{stats['arena_hits']} hit(s), "
             f"{stats['arena_dedup_hits']} dedup hit(s); "
             f"routing ({stats['transport']}): "

@@ -378,29 +378,22 @@ def check_pair(
 
 
 def _engine_counters() -> dict:
-    """This process's running verdict-cache, warm-start and
-    witness-path counters, under :class:`SweepReport` field names."""
-    hits, misses = VERDICTS.stats()
-    warm = warm_stats()
-    return {
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "warm_seeded": warm["seeded"],
-        "warm_decided": warm["decided_from_seed"],
-        "witness_lazy": warm["witness_lazy"],
-        "witness_expansions": warm["witness_expansions"],
-        "eager_oracle": warm["eager_oracle"],
-    }
+    """A copy of this process's running verdict-cache, warm-start and
+    witness-path counters, which carry :class:`SweepReport` field
+    names."""
+    return {**VERDICTS.counters, **warm_stats()}
 
 
 def _arena_counters(runtime: EvolutionRuntime) -> dict:
-    """*runtime*'s running arena and fetch-on-miss counters, under
-    :class:`SweepReport` field names."""
+    """*runtime*'s running arena and fetch-on-miss counters that a
+    :class:`SweepReport` carries, under their shared names."""
+    stats = runtime.stats()
     return {
-        "arena_published": runtime.arena.published,
-        "arena_hits": runtime.arena.hits,
-        "payload_fetches": runtime.payload_fetches,
-        "payload_fetch_bytes": runtime.payload_fetch_bytes,
+        name: stats[name]
+        for name in (
+            "arena_published", "arena_hits", "payload_fetches",
+            "payload_fetch_bytes",
+        )
     }
 
 

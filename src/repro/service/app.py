@@ -74,7 +74,14 @@ from repro.service.http import (
     read_request,
     response_head,
 )
-from repro.service.metrics import ServiceMetrics, render_metrics
+from repro.service.metrics import (
+    CACHE,
+    ENGINE,
+    RUNTIME,
+    SERVICE,
+    ServiceMetrics,
+    render_metrics,
+)
 from repro.service.tenants import (
     ServiceError,
     Session,
@@ -298,7 +305,7 @@ class ChoreoService:
 
     async def _run_engine(self, fn):
         """Run *fn* on the serialized engine thread."""
-        self.metrics.engine_dispatches += 1
+        self.metrics.counters["engine_dispatches"] += 1
         return await asyncio.get_running_loop().run_in_executor(
             self._engine, fn
         )
@@ -356,7 +363,7 @@ class ChoreoService:
             # last line of defense: an unexpected handler/engine error
             # must become a 500 JSON response (and an observed
             # request), never a dropped connection with no metrics.
-            self.metrics.internal_errors += 1
+            self.metrics.counters["internal_errors"] += 1
             status, payload = 500, {
                 "error": {
                     "code": "internal-error",
@@ -466,35 +473,31 @@ class ChoreoService:
         }
 
     async def handle_metrics(self, request: Request):
-        """The Prometheus text exposition: service counters and
-        latency histograms plus the runtime/cache/warm-start counters
-        of the layers below."""
-        runtime = self.runtime if self.runtime is not None else get_runtime()
-        text = render_metrics(
-            self.metrics,
-            runtime.stats(),
-            VERDICTS.info(),
-            warm_stats(),
-            {
-                "repro_tenants": (
-                    len(self.registry.tenants),
-                    "Registered tenants.",
-                ),
-                "repro_choreographies": (
-                    len(self.registry.sessions),
-                    "Registered (resident) choreographies.",
-                ),
-                "repro_inflight_requests": (
-                    self.registry.inflight_total,
-                    "Admitted requests currently in flight.",
-                ),
-                "repro_uptime_seconds": (
-                    round(time.monotonic() - self._started, 3),
-                    "Seconds since service start.",
-                ),
-            },
-        )
+        """The Prometheus text exposition of every
+        :data:`~repro.service.metrics.SERIES` family."""
+        text = render_metrics(self.metric_sources())
         return 200, ("text/plain; version=0.0.4", text)
+
+    def metric_sources(self) -> dict:
+        """The counter dicts ``/metrics`` renders, by source name: the
+        service's counters, request and latency families and live
+        gauges, and the runtime's, verdict cache's and lazy engine's
+        counters as those layers hand them out."""
+        runtime = self.runtime if self.runtime is not None else get_runtime()
+        return {
+            SERVICE: {
+                **self.metrics.counters,
+                "requests": self.metrics.requests,
+                "latency": self.metrics.latency,
+                "tenants": len(self.registry.tenants),
+                "choreographies": len(self.registry.sessions),
+                "inflight_requests": self.registry.inflight_total,
+                "uptime_seconds": round(time.monotonic() - self._started, 3),
+            },
+            RUNTIME: runtime.stats(),
+            CACHE: VERDICTS.info(),
+            ENGINE: warm_stats(),
+        }
 
     # -- tenant management -------------------------------------------------
 
@@ -543,7 +546,7 @@ class ChoreoService:
                 "request body needs a non-empty 'processes' list",
             )
         if len(specs) > self.registry.max_parties:
-            self.metrics.quota_rejected += 1
+            self.metrics.counters["quota_rejected"] += 1
             raise ServiceError(
                 429,
                 "party-quota",
@@ -679,12 +682,11 @@ class ChoreoService:
             )
             stamped = session.answers.get(memo_key)
             if stamped is not None and stamped[0] == versions:
-                self.metrics.check_memo_hits += 1
+                self.metrics.counters["check_memo_hits"] += 1
                 # Each request gets its own dict; the memo keeps its own.
                 return 200, dict(stamped[1])
 
             def compute():
-                self.metrics.checks_executed += 1
                 # Stamp the answer with the versions it is computed
                 # for, read here on the engine thread: a commit queued
                 # ahead of this check may have moved them since the
@@ -707,9 +709,13 @@ class ChoreoService:
                     ),
                 }
 
+            async def execute():
+                # Counted on the loop, once per coalesced group.
+                self.metrics.counters["checks_executed"] += 1
+                return await self._run_engine(compute)
+
             stamped = await self.coalescer.run(
-                (session, *memo_key, *versions),
-                lambda: self._run_engine(compute),
+                (session, *memo_key, *versions), execute
             )
             session.answers[memo_key] = stamped
         return 200, dict(stamped[1])
@@ -746,7 +752,6 @@ class ChoreoService:
             with self.registry.admit(tenant):
 
                 def compute():
-                    self.metrics.sweeps_executed += 1
                     return sweep_choreography(
                         choreography,
                         witnesses=policy,
@@ -755,6 +760,7 @@ class ChoreoService:
                         stop_on_first_inconsistency=stop_on_first,
                     )
 
+                self.metrics.counters["sweeps_executed"] += 1
                 report = await self._run_engine(compute)
             return 200, report.as_dict()
 
@@ -768,7 +774,7 @@ class ChoreoService:
             # client goes away mid-sweep the `abandoned` flag makes
             # the engine thread close the stream, cancelling
             # outstanding chunks.
-            self.metrics.sweeps_executed += 1
+            self.metrics.counters["sweeps_executed"] += 1
             loop = asyncio.get_running_loop()
             relay: asyncio.Queue = asyncio.Queue()
             abandoned = threading.Event()
@@ -799,7 +805,7 @@ class ChoreoService:
                         relay.put_nowait, ("error", error)
                     )
 
-            self.metrics.engine_dispatches += 1
+            self.metrics.counters["engine_dispatches"] += 1
             engine_done = loop.run_in_executor(self._engine, run_stream)
             try:
                 while True:
@@ -843,7 +849,7 @@ class ChoreoService:
                     # mid-stream must terminate the chunked body with
                     # a machine-readable error line, not escape into
                     # the socket handler.
-                    self.metrics.internal_errors += 1
+                    self.metrics.counters["internal_errors"] += 1
                     yield (
                         json.dumps(
                             {

@@ -38,8 +38,8 @@ class Coalescer:
     computation.
 
     One instance per service; all bookkeeping happens on the event
-    loop, so no synchronization is required.  ``metrics.coalesced``
-    counts the deduplicated followers.
+    loop, so no synchronization is required.  The ``coalesced``
+    counter of ``metrics`` counts the deduplicated followers.
     """
 
     def __init__(self, metrics=None):
@@ -71,7 +71,7 @@ class Coalescer:
             if future is None:
                 break
             if self.metrics is not None:
-                self.metrics.coalesced += 1
+                self.metrics.counters["coalesced"] += 1
             try:
                 return await asyncio.shield(future)
             except asyncio.CancelledError:
@@ -83,7 +83,7 @@ class Coalescer:
                 # deduplicated after all — undo the count and retry
                 # (becoming the new owner if it gets there first).
                 if self.metrics is not None:
-                    self.metrics.coalesced -= 1
+                    self.metrics.counters["coalesced"] -= 1
         future = asyncio.get_running_loop().create_future()
         self._inflight[key] = future
         try:

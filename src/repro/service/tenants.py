@@ -238,7 +238,7 @@ class TenantRegistry:
         """
         if tenant.inflight >= tenant.max_inflight:
             tenant.rejected += 1
-            self.metrics.admission_rejected += 1
+            self.metrics.counters["admission_rejected"] += 1
             raise ServiceError(
                 429,
                 "tenant-overloaded",
@@ -247,7 +247,7 @@ class TenantRegistry:
             )
         if self.inflight_total >= self.max_inflight_total:
             tenant.rejected += 1
-            self.metrics.admission_rejected += 1
+            self.metrics.counters["admission_rejected"] += 1
             raise ServiceError(
                 429,
                 "service-overloaded",
@@ -284,7 +284,7 @@ class TenantRegistry:
             if tenant_name == session.tenant.name
         )
         if not replaced and owned >= session.tenant.max_choreographies:
-            self.metrics.quota_rejected += 1
+            self.metrics.counters["quota_rejected"] += 1
             raise ServiceError(
                 429,
                 "choreography-quota",
@@ -330,7 +330,7 @@ class TenantRegistry:
                 return
             _, _, victim_key = min(victims)
             self._release(self.sessions.pop(victim_key))
-            self.metrics.evictions += 1
+            self.metrics.counters["evictions"] += 1
 
     def _release(self, session: Session) -> None:
         """Queue a removed session for the shared-cache cascade.

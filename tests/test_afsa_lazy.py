@@ -167,19 +167,19 @@ class TestPairVerdictCache:
                             annotation_probability=0.3)
         kl, kr = kernel_of(left), kernel_of(right)
         first = pair_verdict(kl, kr)
-        hits_before, _ = VERDICTS.stats()
+        hits_before = VERDICTS.counters["cache_hits"]
         for _ in range(5):
             assert pair_verdict(kl, kr) == first
-        hits_after, _ = VERDICTS.stats()
+        hits_after = VERDICTS.counters["cache_hits"]
         assert hits_after - hits_before == 5
 
     def test_is_consistent_reuses_cache_across_calls(self):
         left = random_afsa(seed=21, states=16, labels=4)
         right = random_afsa(seed=22, states=16, labels=4)
         first = is_consistent(left, right)
-        hits_before, _ = VERDICTS.stats()
+        hits_before = VERDICTS.counters["cache_hits"]
         assert is_consistent(left, right) == first
-        hits_after, _ = VERDICTS.stats()
+        hits_after = VERDICTS.counters["cache_hits"]
         assert hits_after == hits_before + 1
 
     def test_direction_and_annotated_flag_are_distinct_keys(self):

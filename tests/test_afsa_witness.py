@@ -38,6 +38,7 @@ from repro.afsa.lazy import (
     warm_stats,
 )
 from repro.afsa.oracle import eager_pair_witness
+from repro.afsa.serialize import afsa_from_dict
 from repro.afsa.witness import lazy_pair_witness
 from repro.core.sweep import (
     WITNESS_ALL,
@@ -208,6 +209,83 @@ class TestWitnessAcrossEvolution:
         warm = lazy_pair_witness(*pair)
         _assert_identical(warm, eager_pair_witness(*pair))
         clear_warm_state()
+
+    def test_boundary_support_stays_inside_the_diagnosed_region(self):
+        """An empty pair whose warm-seeded exploration still holds good
+        pairs the evolved product no longer reaches: a boundary pair's
+        support must come from the recomputed region only, or the
+        report names too few missing messages for ``(q4, q7)``."""
+        clear_warm_state()
+        left = kernel_of(_automaton(
+            "q0", "q10 q2 q5",
+            {"q1": "op1 AND op3", "q2": "op3 AND op0", "q3": "op3",
+             "q4": "op1 AND op0", "q5": "op4", "q6": "op3"},
+            "q0 op1 q8, q0 op3 q1, q0 op4 q2, q0 op4 q7, q1 op1 q8, "
+            "q1 op3 q2, q10 op2 q2, q10 op2 q9, q11 op0 q4, q11 op1 q7, "
+            "q11 op4 q5, q11 op4 q8, q2 op0 q11, q2 op1 q4, q2 op1 q8, "
+            "q2 op3 q5, q2 op4 q3, q3 op1 q1, q3 op1 q4, q3 op3 q10, "
+            "q4 op0 q10, q4 op0 q6, q4 op1 q6, q5 op4 q7, q6 op3 q6, "
+            "q7 op3 q11, q7 op4 q5, q8 op3 q7, q8 op4 q9",
+        ))
+        right_transitions = (
+            "q0 op3 q2, q0 op3 q3, q0 op3 q5, q0 op4 q1, q0 op4 q5, "
+            "q1 op2 q3, q1 op3 q4, q1 op4 q10, q1 op4 q8, q10 op2 q11, "
+            "q10 op3 q2, q10 op4 q0, q11 op0 q2, q2 op4 q11, q3 op1 q0, "
+            "q3 op2 q4, q4 op1 q5, q4 op4 q5, q5 op0 q6, q5 op0 q7, "
+            "q5 op2 q0, q6 op3 q3, q6 op4 q9, q7 op0 q4, q7 op0 q8, "
+            "q7 op1 q4, q8 op2 q11, q8 op4 q4, q9 op3 q10"
+        )
+        right_annotations = {
+            "q10": "op4", "q3": "op2 AND op1", "q6": "op3", "q9": "op3",
+        }
+        right = kernel_of(_automaton(
+            "q0", "q4 q8 q9", right_annotations, right_transitions,
+        ))
+        evolved = kernel_of(_automaton(
+            "q0", "q4 q8 q9", right_annotations,
+            right_transitions.replace("q7 op1 q4, ", ""),
+        ))
+        pair_verdict(left, right)
+        lazy_pair_witness(left, right)
+        note_lineage(right, evolved)
+        before = warm_stats()
+        assert pair_verdict(left, evolved) is False
+        warm = lazy_pair_witness(left, evolved)
+        oracle = eager_pair_witness(left, evolved)
+        assert oracle.missing_variables[("q4", "q7")] == [
+            "X#Y#op0", "X#Y#op1",
+        ]
+        _assert_identical(warm, oracle)
+        # The instance pins the seeded path: a cold exploration passes.
+        assert warm_stats()["warm_seeded"] == before["warm_seeded"] + 1
+        clear_warm_state()
+
+
+def _automaton(start, finals, annotations, transitions):
+    """An automaton over the labels ``X#Y#op0`` … ``X#Y#op4`` from a
+    compact spelling: space-separated finals, annotations and
+    comma-separated ``source op target`` transitions with the label
+    prefix left out."""
+    prefix = "X#Y#"
+    edges = [edge.split() for edge in transitions.split(", ")]
+    return afsa_from_dict({
+        "states": sorted(
+            {source for source, _, _ in edges}
+            | {target for _, _, target in edges}
+            | set(annotations) | set(finals.split()) | {start}
+        ),
+        "transitions": [
+            (source, prefix + label, target)
+            for source, label, target in edges
+        ],
+        "start": start,
+        "finals": finals.split(),
+        "annotations": {
+            state: " AND ".join(prefix + term for term in text.split(" AND "))
+            for state, text in annotations.items()
+        },
+        "alphabet": [f"{prefix}op{index}" for index in range(5)],
+    })
 
 
 def _mixed_kernel_grid():

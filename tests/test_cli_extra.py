@@ -131,10 +131,10 @@ class TestMigrateCommand:
                 "--fleet", "120", "--seed", "5", "--json"]
         main(args)
         serial = json.loads(capsys.readouterr().out)
-        dispatches = get_runtime().dispatches
+        dispatches = get_runtime().counters["dispatches"]
         with scheduler(**FAN_OUT):
             main(args + ["--workers", "4"])
-        assert get_runtime().dispatches == dispatches + 1
+        assert get_runtime().counters["dispatches"] == dispatches + 1
         fanned = json.loads(capsys.readouterr().out)
         assert serial["counts"] == fanned["counts"]
         assert serial["verdicts"] == fanned["verdicts"]

@@ -293,8 +293,8 @@ class TestNegotiationSweep:
         monkeypatch.setattr(
             negotiation_module, "afsa_from_json", counting_parse
         )
-        dispatches = get_runtime().dispatches
+        dispatches = get_runtime().counters["dispatches"]
         with scheduler(**FAN_OUT):
             assert negotiation.check_consistency(workers=2) is consistent
-        assert get_runtime().dispatches == dispatches + 1
+        assert get_runtime().counters["dispatches"] == dispatches + 1
         assert len(parsed) == len(set(parsed)) == 4

@@ -160,9 +160,9 @@ class DispatchMachine(RuleBasedStateMachine):
     )
     def start(self, shards, items, chunk_size):
         self.runtime = EvolutionRuntime()
-        self.start_inflight = self.runtime.inflight
+        self.start_inflight = self.runtime.counters["inflight"]
         self.totals_before = {
-            name: getattr(self.runtime, name)
+            name: self.runtime.counters[name]
             for name in TOTALS + ("chunks_dispatched",)
         }
         self.records: list = []
@@ -315,7 +315,9 @@ class DispatchMachine(RuleBasedStateMachine):
     def attempts_are_accounted(self):
         pending = sum(len(shard.pending) for shard in self.shards)
         assert self.dispatch.outstanding == pending
-        assert self.runtime.inflight == self.start_inflight + pending
+        assert (
+            self.runtime.counters["inflight"] == self.start_inflight + pending
+        )
         assert self.dispatch.outstanding == sum(self.dispatch.inflight)
 
     @invariant()
@@ -328,7 +330,7 @@ class DispatchMachine(RuleBasedStateMachine):
     @invariant()
     def totals_are_the_sum_of_records(self):
         for name in TOTALS:
-            assert getattr(self.runtime, name) - self.totals_before[
+            assert self.runtime.counters[name] - self.totals_before[
                 name
             ] == sum(record[name] for record in self.records), name
         attempts = sum(
@@ -337,14 +339,14 @@ class DispatchMachine(RuleBasedStateMachine):
             for shard in fleet
         )
         assert (
-            self.runtime.chunks_dispatched
+            self.runtime.counters["chunks_dispatched"]
             - self.totals_before["chunks_dispatched"]
             == attempts
         )
 
     def _check_ended(self) -> None:
         assert self.dispatch.outstanding == 0
-        assert self.runtime.inflight == self.start_inflight
+        assert self.runtime.counters["inflight"] == self.start_inflight
         if not (self.cancelled or self.failed):
             assert sorted(self.yielded) == list(range(len(self.items)))
 
@@ -392,7 +394,7 @@ class TestSpeculation:
         assert dispatch.record["speculative_wins"] == 1
         shards[0].answer()
         _drain_all(dispatch, 1.0)
-        assert dispatch.outstanding == 0 == runtime.inflight
+        assert dispatch.outstanding == 0 == runtime.counters["inflight"]
 
     def test_no_backup_onto_a_busier_shard(self):
         """Both shards' chunks went out at t=0: neither candidate is
@@ -461,7 +463,7 @@ class TestFailover:
         shards[third].end()
         with pytest.raises(ShardLostError):
             _settle_all(dispatch, 0.3)
-        assert dispatch.outstanding == 0 == runtime.inflight
+        assert dispatch.outstanding == 0 == runtime.counters["inflight"]
 
     def test_disconnected_candidates_are_skipped(self):
         runtime = EvolutionRuntime()
@@ -509,4 +511,4 @@ class TestAttemptCounter:
         frames = sum(len(shard.received) for shard in shards)
         assert frames == 5
         assert runtime.stats()["chunks_dispatched"] == frames
-        assert dispatch.outstanding == 0 == runtime.inflight
+        assert dispatch.outstanding == 0 == runtime.counters["inflight"]

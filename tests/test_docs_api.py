@@ -134,9 +134,9 @@ def documented_metric_names() -> set:
     return names
 
 
-def served_metric_names() -> set:
-    """The sample and ``# TYPE`` names of a live ``/metrics`` render,
-    taken after one request so the latency histogram has samples."""
+def scrape_metrics() -> str:
+    """A live ``/metrics`` render, taken after one request so the
+    latency histogram has samples."""
 
     def get(path: str) -> Request:
         return Request(
@@ -154,8 +154,13 @@ def served_metric_names() -> set:
         finally:
             service.close()
 
+    return asyncio.run(scrape())
+
+
+def served_metric_names() -> set:
+    """The sample and ``# TYPE`` names of a live ``/metrics`` render."""
     names: set = set()
-    for line in asyncio.run(scrape()).splitlines():
+    for line in scrape_metrics().splitlines():
         if line.startswith("# TYPE "):
             names.add(line.split()[2])
         elif line and not line.startswith("#"):
@@ -172,4 +177,25 @@ def test_documented_metric_names_are_served():
     stale = documented - served_metric_names()
     assert not stale, (
         f"metric names documented but not served: {sorted(stale)}"
+    )
+
+
+def test_served_metric_families_are_documented():
+    """Every family ``/metrics`` serves is documented — a new series
+    fails until docs/API.md or README's metrics table names it.  A
+    histogram counts as documented under its family name or the name
+    of its ``_bucket``, ``_sum`` or ``_count`` samples."""
+    served = {
+        line.split()[2]
+        for line in scrape_metrics().splitlines()
+        if line.startswith("# TYPE ")
+    }
+    documented = {
+        re.sub(r"_(bucket|sum|count)$", "", name)
+        for name in documented_metric_names()
+    } | documented_metric_names()
+    undocumented = served - documented
+    assert not undocumented, (
+        f"metric families served but documented nowhere: "
+        f"{sorted(undocumented)}"
     )

@@ -137,7 +137,7 @@ class TestDecision:
                 _pairs(6, seed=8100), WITNESS_NONE, 2, runtime
             )
             assert again.decisions_fanned == 1
-            assert runtime.pool_starts == 2
+            assert runtime.counters["pool_starts"] == 2
             assert CHECK not in runtime.fanout_overhead
 
     def test_shard_cost_is_per_computed_pair(self):
@@ -202,7 +202,7 @@ class TestDecision:
             _, report = _sweep_pairs_report(pairs, WITNESS_NONE, 2, runtime)
             assert report.decisions_fanned == 1
             assert report.speculative_dispatches >= 1
-            assert runtime.pool_starts == 2
+            assert runtime.counters["pool_starts"] == 2
             assert CHECK not in runtime.fanout_overhead
             assert CHECK not in runtime.item_cost
 
@@ -214,9 +214,9 @@ class TestDecision:
         serial = sweep_choreography(choreography, witnesses=WITNESS_FAILURES)
         runtime = _seeded(item_cost=1.0, overhead=1e-6)
         with runtime:
-            counters = VERDICTS.stats()
+            counters = dict(VERDICTS.counters)
             decision = runtime.decide(_check_arena_chunk, 2, 4, 0)
-            assert VERDICTS.stats() == counters
+            assert VERDICTS.counters == counters
             assert not decision.fan_out
             report = sweep_choreography(
                 choreography, witnesses=WITNESS_FAILURES, workers=2,
@@ -281,8 +281,9 @@ class TestPublishOnce:
                                         runtime=runtime)
             assert report.decisions_fanned == 1
             assert report.arena_published > 0
+            counters = runtime.arena.counters
             assert len(calls) == (
-                runtime.arena.published + runtime.arena.dedup_hits
+                counters["arena_published"] + counters["arena_dedup_hits"]
             )
             assert len({id(kernel) for kernel in calls}) == len(calls)
 

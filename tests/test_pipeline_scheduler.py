@@ -193,9 +193,9 @@ class TestCancellation:
             )
             next(grid)
             grid.close()
-            assert rt.inflight == 0
+            assert rt.counters["inflight"] == 0
         assert report.cancelled_chunks >= 1
-        assert rt.cancelled_chunks >= 1
+        assert rt.counters["cancelled_chunks"] >= 1
 
     def test_serial_fail_fast_reports_undecided(self):
         from repro.core.choreography import Choreography
@@ -249,7 +249,7 @@ class TestCancellation:
                 choreography, workers=2, runtime=rt,
                 stop_on_first_inconsistency=True,
             )
-            assert rt.inflight == 0
+            assert rt.counters["inflight"] == 0
         assert not report.consistent
         assert len(report.outcomes) + report.undecided == 2
         assert any(not o.consistent for o in report.outcomes)
@@ -335,7 +335,7 @@ class TestCounterFold:
             "cancelled_chunks",
             "routing_spilled",
         ):
-            assert getattr(rt, name) == sum(
+            assert rt.counters[name] == sum(
                 getattr(report, name) for report in reports
             ), name
 
@@ -438,8 +438,8 @@ class TestTcpPipelining:
                 )
                 next(stream)
                 stream.close()
-                assert rt.dispatches == 2
-                assert rt.inflight == 0
+                assert rt.counters["dispatches"] == 2
+                assert rt.counters["inflight"] == 0
                 assert all(
                     shard.inflight == 0 for shard in rt._shards
                 )
@@ -457,27 +457,25 @@ class TestSchedulerCounters:
             runtime_stats = rt.stats()
             assert runtime_stats["chunks_dispatched"] >= report.chunks
             assert runtime_stats["inflight"] == 0
-            hist = runtime_stats["chunk_size_hist"]
-            assert sum(hist.values()) >= report.chunks
-            assert runtime_stats["chunk_pairs_total"] >= len(pairs)
+            hist = runtime_stats["chunk_pairs"]
+            assert hist.count == sum(hist.counts) >= report.chunks
+            assert hist.total >= len(pairs)
             assert "scheduler: " in rt.describe()
 
     def test_metrics_exposition_includes_scheduler_series(self):
-        from repro.afsa.lazy import VERDICTS
-        from repro.service.metrics import ServiceMetrics, render_metrics
+        from repro.service.app import ChoreoService
+        from repro.service.metrics import render_metrics
 
         with EvolutionRuntime() as rt:
             sweep_pairs(
                 _random_pairs(4, seed=31), witnesses=WITNESS_NONE,
                 workers=2, runtime=rt,
             )
-            text = render_metrics(
-                ServiceMetrics(), rt.stats(), VERDICTS.info(), {
-                    "seeded": 0, "decided_from_seed": 0,
-                    "witness_lazy": 0, "witness_expansions": 0,
-                    "eager_oracle": 0,
-                }, {},
-            )
+            service = ChoreoService(runtime=rt)
+            try:
+                text = render_metrics(service.metric_sources())
+            finally:
+                service.close()
         assert "repro_runtime_chunks_dispatched_total" in text
         assert "repro_runtime_speculative_dispatches_total" in text
         assert "repro_runtime_speculative_wins_total" in text

@@ -154,14 +154,14 @@ class TestKernelArena:
 
     def test_repeated_publish_is_an_arena_hit(self, runtime):
         kernel = kernel_of(random_afsa(seed=4, states=8, labels=4))
-        published0 = runtime.arena.published
+        published0 = runtime.arena.counters["arena_published"]
         first = runtime.arena.publish(kernel)
-        assert runtime.arena.published == published0 + 1
-        hits0 = runtime.arena.hits
+        assert runtime.arena.counters["arena_published"] == published0 + 1
+        hits0 = runtime.arena.counters["arena_hits"]
         again = runtime.arena.publish(kernel)
         assert again == first
-        assert runtime.arena.published == published0 + 1
-        assert runtime.arena.hits == hits0 + 1
+        assert runtime.arena.counters["arena_published"] == published0 + 1
+        assert runtime.arena.counters["arena_hits"] == hits0 + 1
 
     def test_eviction_drops_lru_entries(self):
         arena = KernelArena(maxsize=2)
@@ -234,7 +234,7 @@ class TestZeroPayloadResweep:
             assert warm.cache_hits == len(warm.outcomes)
             assert warm.cache_misses == 0
             assert "kernel-arena: 0 publish(es)" in warm.describe()
-            assert rt.pool_starts == 1
+            assert rt.counters["pool_starts"] == 1
 
     def test_pool_grows_without_restarting(self, runtime):
         pairs = [
@@ -323,7 +323,7 @@ class TestInvariance:
             pooled = sweep_pairs(
                 pairs, witnesses=WITNESS_ALL, workers=2, runtime=rt
             )
-            assert rt.dispatches == 1
+            assert rt.counters["dispatches"] == 1
         servers = [ShardServer().start() for _ in range(2)]
         try:
             with scheduler(**FAN_OUT), EvolutionRuntime(
@@ -333,14 +333,14 @@ class TestInvariance:
                     pairs, witnesses=WITNESS_ALL, workers=2,
                     runtime=rt,
                 )
-                assert rt.payload_fetches > 0
-                fetched_bytes = rt.payload_fetch_bytes
+                assert rt.counters["payload_fetches"] > 0
+                fetched_bytes = rt.counters["payload_fetch_bytes"]
                 repeat = sweep_pairs(
                     pairs, witnesses=WITNESS_ALL, workers=2,
                     runtime=rt,
                 )
-                assert rt.dispatches == 2
-                assert rt.payload_fetch_bytes == fetched_bytes
+                assert rt.counters["dispatches"] == 2
+                assert rt.counters["payload_fetch_bytes"] == fetched_bytes
         finally:
             for server in servers:
                 server.stop()
@@ -671,14 +671,14 @@ class TestMigrationThroughRuntime:
             ]
             # The second fan-out ships nothing: both models are arena
             # hits.
-            published0 = runtime.arena.published
-            dispatches = runtime.dispatches
+            published0 = runtime.arena.counters["arena_published"]
+            dispatches = runtime.counters["dispatches"]
             classify_migration(
                 store, old, new, version="A#v1", witnesses=WITNESS_ALL,
                 workers=2, runtime=runtime,
             )
-        assert runtime.dispatches == dispatches + 1
-        assert runtime.arena.published == published0
+        assert runtime.counters["dispatches"] == dispatches + 1
+        assert runtime.arena.counters["arena_published"] == published0
 
     def test_straggling_shard_is_speculated_around(self):
         """Migration rides the one pipelined scheduler: with shard 0
@@ -698,8 +698,8 @@ class TestMigrationThroughRuntime:
                 store, old, new, version="A#v1", witnesses=WITNESS_ALL,
                 workers=2, runtime=rt,
             )
-            assert rt.speculative_dispatches >= 1
-            assert rt.inflight == 0
+            assert rt.counters["speculative_dispatches"] >= 1
+            assert rt.counters["inflight"] == 0
         assert [
             (e.instance, e.verdict, e.continuation, e.blocked_on)
             for e in fanned.verdicts
@@ -794,7 +794,6 @@ class TestCliSweep:
                 "--repeat",
                 "2",
                 "--stats",
-                "--per-call-pool",
             ]
         )
         out = capsys.readouterr().out

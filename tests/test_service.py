@@ -337,8 +337,8 @@ class TestCoalescing:
             service = await make_service()
             try:
                 VERDICTS.clear()
-                executed_before = service.metrics.checks_executed
-                hits_before, misses_before = VERDICTS.stats()
+                executed_before = service.metrics.counters["checks_executed"]
+                misses_before = VERDICTS.counters["cache_misses"]
                 results = await asyncio.gather(
                     *(
                         service.dispatch(
@@ -354,11 +354,12 @@ class TestCoalescing:
                 assert all(v == verdicts[0] for v in verdicts)
                 # Exactly ONE engine execution served all N requests.
                 assert (
-                    service.metrics.checks_executed - executed_before == 1
+                    service.metrics.counters["checks_executed"]
+                    - executed_before == 1
                 )
-                assert service.metrics.coalesced == N - 1
+                assert service.metrics.counters["coalesced"] == N - 1
                 # The verdict cache saw one miss, not N.
-                _, misses_after = VERDICTS.stats()
+                misses_after = VERDICTS.counters["cache_misses"]
                 assert misses_after - misses_before == 1
             finally:
                 service.close()
@@ -377,12 +378,12 @@ class TestCoalescing:
                 first["consistent"] = "tampered"
                 metrics = service.metrics
                 untouched = (
-                    metrics.engine_dispatches,
-                    metrics.checks_executed,
-                    metrics.coalesced,
-                    VERDICTS.stats(),
+                    metrics.counters["engine_dispatches"],
+                    metrics.counters["checks_executed"],
+                    metrics.counters["coalesced"],
+                    dict(VERDICTS.counters),
                 )
-                memo_hits = metrics.check_memo_hits
+                memo_hits = metrics.counters["check_memo_hits"]
                 status, second = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
@@ -391,12 +392,12 @@ class TestCoalescing:
                 # session's memo on the loop: no engine dispatch, no
                 # computation, no coalescing, no verdict-cache lookup.
                 assert (
-                    metrics.engine_dispatches,
-                    metrics.checks_executed,
-                    metrics.coalesced,
-                    VERDICTS.stats(),
+                    metrics.counters["engine_dispatches"],
+                    metrics.counters["checks_executed"],
+                    metrics.counters["coalesced"],
+                    dict(VERDICTS.counters),
                 ) == untouched
-                assert metrics.check_memo_hits == memo_hits + 1
+                assert metrics.counters["check_memo_hits"] == memo_hits + 1
                 session = service.registry.sessions[("acme", "shop")]
                 assert second == direct_answer(session)
                 second["witness"] = "tampered"
@@ -404,7 +405,7 @@ class TestCoalescing:
                     request("POST", "/check", check_body())
                 )
                 assert third == direct_answer(session)
-                assert metrics.check_memo_hits == memo_hits + 2
+                assert metrics.counters["check_memo_hits"] == memo_hits + 2
             finally:
                 service.close()
 
@@ -414,7 +415,7 @@ class TestCoalescing:
         async def main():
             service = await make_service()
             try:
-                executed_before = service.metrics.checks_executed
+                executed_before = service.metrics.counters["checks_executed"]
                 await asyncio.gather(
                     service.dispatch(
                         request("POST", "/check", check_body())
@@ -426,9 +427,10 @@ class TestCoalescing:
                     ),
                 )
                 assert (
-                    service.metrics.checks_executed - executed_before == 2
+                    service.metrics.counters["checks_executed"]
+                    - executed_before == 2
                 )
-                assert service.metrics.coalesced == 0
+                assert service.metrics.counters["coalesced"] == 0
             finally:
                 service.close()
 
@@ -524,14 +526,16 @@ class TestAnswerMemo:
                 )
                 assert status == 200
                 assert evolved["committed"] is True
-                executed = service.metrics.checks_executed
-                memo_hits = service.metrics.check_memo_hits
+                executed = service.metrics.counters["checks_executed"]
+                memo_hits = service.metrics.counters["check_memo_hits"]
                 _, after = await service.dispatch(
                     request("POST", "/check", check_body(witness=True))
                 )
                 assert after["consistent"] is True
-                assert service.metrics.checks_executed == executed + 1
-                assert service.metrics.check_memo_hits == memo_hits
+                assert (
+                    service.metrics.counters["checks_executed"] == executed + 1
+                )
+                assert service.metrics.counters["check_memo_hits"] == memo_hits
             finally:
                 service.close()
 
@@ -551,13 +555,16 @@ class TestAnswerMemo:
                 )
                 assert status == 200
                 assert evolved["committed"] is False
-                executed = service.metrics.checks_executed
-                memo_hits = service.metrics.check_memo_hits
+                executed = service.metrics.counters["checks_executed"]
+                memo_hits = service.metrics.counters["check_memo_hits"]
                 _, after = await service.dispatch(
                     request("POST", "/check", check_body(witness=True))
                 )
-                assert service.metrics.checks_executed == executed
-                assert service.metrics.check_memo_hits == memo_hits + 1
+                assert service.metrics.counters["checks_executed"] == executed
+                assert (
+                    service.metrics.counters["check_memo_hits"]
+                    == memo_hits + 1
+                )
                 session = service.registry.sessions[("acme", "shop")]
                 assert after == direct_answer(session, witness=True)
                 assert after["consistent"] is False
@@ -582,13 +589,16 @@ class TestAnswerMemo:
                 )
                 assert evolved["committed"] is True
                 assert raced["consistent"] is True
-                executed = service.metrics.checks_executed
-                memo_hits = service.metrics.check_memo_hits
+                executed = service.metrics.counters["checks_executed"]
+                memo_hits = service.metrics.counters["check_memo_hits"]
                 _, third = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
-                assert service.metrics.checks_executed == executed
-                assert service.metrics.check_memo_hits == memo_hits + 1
+                assert service.metrics.counters["checks_executed"] == executed
+                assert (
+                    service.metrics.counters["check_memo_hits"]
+                    == memo_hits + 1
+                )
                 session = service.registry.sessions[("acme", "shop")]
                 assert third == direct_answer(session)
             finally:
@@ -604,21 +614,27 @@ class TestAnswerMemo:
                 tenant = service.registry.tenant("acme")
                 tenant.max_inflight = 1
                 held = service.registry.admit(tenant)
-                rejected = service.metrics.admission_rejected
-                memo_hits = service.metrics.check_memo_hits
+                rejected = service.metrics.counters["admission_rejected"]
+                memo_hits = service.metrics.counters["check_memo_hits"]
                 status, payload = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
                 assert status == 429
                 assert payload["error"]["code"] == "tenant-overloaded"
-                assert service.metrics.admission_rejected == rejected + 1
-                assert service.metrics.check_memo_hits == memo_hits
+                assert (
+                    service.metrics.counters["admission_rejected"]
+                    == rejected + 1
+                )
+                assert service.metrics.counters["check_memo_hits"] == memo_hits
                 held.release()
                 status, _ = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
                 assert status == 200
-                assert service.metrics.check_memo_hits == memo_hits + 1
+                assert (
+                    service.metrics.counters["check_memo_hits"]
+                    == memo_hits + 1
+                )
                 assert tenant.inflight == 0
             finally:
                 service.close()
@@ -682,15 +698,20 @@ class TestAnswerMemo:
                         is not old
                     )
                     assert not stale.done()
-                    waiting = (metrics.coalesced, metrics.engine_dispatches)
+                    waiting = (
+                        metrics.counters["coalesced"],
+                        metrics.counters["engine_dispatches"],
+                    )
                     fresh = asyncio.ensure_future(
                         service.dispatch(
                             request("POST", "/check", check_body())
                         )
                     )
                     await until(
-                        lambda: (metrics.coalesced, metrics.engine_dispatches)
-                        != waiting
+                        lambda: (
+                            metrics.counters["coalesced"],
+                            metrics.counters["engine_dispatches"],
+                        ) != waiting
                     )
                     gate.set()
                     (_, replaced), (_, before), (_, after) = (
@@ -698,15 +719,15 @@ class TestAnswerMemo:
                     )
                 assert replaced["replaced"] is True
                 assert before["consistent"] is True
-                assert metrics.coalesced == waiting[0]
+                assert metrics.counters["coalesced"] == waiting[0]
                 new = service.registry.sessions[("acme", "shop")]
                 assert after == direct_answer(new)
                 assert after["consistent"] is False
-                memo_hits = metrics.check_memo_hits
+                memo_hits = metrics.counters["check_memo_hits"]
                 _, again = await service.dispatch(
                     request("POST", "/check", check_body())
                 )
-                assert metrics.check_memo_hits == memo_hits + 1
+                assert metrics.counters["check_memo_hits"] == memo_hits + 1
                 assert again == direct_answer(new)
             finally:
                 gate.set()
@@ -834,9 +855,9 @@ class TestAnswerMemo:
                     checked += 1
                 metrics = service.metrics
                 # Both paths ran: memo hits and engine computations.
-                assert metrics.check_memo_hits > 0
-                assert metrics.checks_executed > 0
-                assert metrics.evictions > 0
+                assert metrics.counters["check_memo_hits"] > 0
+                assert metrics.counters["checks_executed"] > 0
+                assert metrics.counters["evictions"] > 0
             finally:
                 service.close()
             return checked
@@ -893,7 +914,7 @@ class TestAdmission:
                     payload["error"]["code"] == "tenant-overloaded"
                     for payload in rejected
                 )
-                assert service.metrics.admission_rejected == N - 1
+                assert service.metrics.counters["admission_rejected"] == N - 1
             finally:
                 service.close()
 
@@ -925,7 +946,7 @@ class TestAdmission:
                 service.registry.tenant("acme").max_inflight = 0
                 VERDICTS.clear()
                 size_before = VERDICTS.info()["size"]
-                executed_before = service.metrics.checks_executed
+                executed_before = service.metrics.counters["checks_executed"]
                 for _ in range(3):
                     status, payload = await service.dispatch(
                         request("POST", "/check", check_body())
@@ -934,7 +955,8 @@ class TestAdmission:
                 # No engine work, no cache entries, no coalescer state.
                 assert VERDICTS.info()["size"] == size_before
                 assert (
-                    service.metrics.checks_executed == executed_before
+                    service.metrics.counters["checks_executed"]
+                    == executed_before
                 )
                 assert service.coalescer.pending() == 0
                 # Lift the quota: the verdict is computed fresh and
@@ -1025,7 +1047,7 @@ class TestEviction:
                     ("hot", "h1"),
                     ("hot", "h2"),
                 }
-                assert service.metrics.evictions == 1
+                assert service.metrics.counters["evictions"] == 1
                 status, payload = await service.dispatch(
                     request(
                         "POST", "/check", check_body(
@@ -1064,7 +1086,7 @@ class TestEviction:
                 # kernels leave the verdict cache with it.
                 await self._register(service, "acme", "c2")
                 assert VERDICTS.info()["size"] < size_with_c1
-                assert service.metrics.evictions == 1
+                assert service.metrics.counters["evictions"] == 1
             finally:
                 service.close()
 
@@ -1542,6 +1564,97 @@ class TestMetricsEndpoint:
         run(main())
 
 
+class _ThreadRecordingCounters(dict):
+    """A service counter dict that records the thread of every write."""
+
+    def __init__(self, counters):
+        super().__init__(counters)
+        self.writes: list = []
+
+    def __setitem__(self, key, value):
+        self.writes.append((key, threading.get_ident()))
+        super().__setitem__(key, value)
+
+
+class TestCounterOwnership:
+    def test_every_service_counter_write_is_on_the_loop_thread(self):
+        """ARCHITECTURE contract 5: the event loop is the only writer
+        of the service counters, whatever thread computes the answer."""
+
+        async def main():
+            service = ChoreoService(max_resident=2)
+            counters = _ThreadRecordingCounters(service.metrics.counters)
+            service.metrics.counters = counters
+            loop_thread = threading.get_ident()
+            try:
+                shop = {"tenant": "acme", "choreography": "shop"}
+                for body in ({"tenant": "acme"},
+                             {"tenant": "full", "max_inflight": 0}):
+                    await service.dispatch(request("POST", "/tenants", body))
+                # The third registration evicts the first.
+                for name in ("spare", "third", "shop"):
+                    status, _ = await service.dispatch(request(
+                        "POST", "/choreographies",
+                        {"tenant": "acme", "name": name,
+                         "processes": [BUYER, CLIENT_BAD]},
+                    ))
+                    assert status == 200
+                # Executed and coalesced, then answered from the memo.
+                checks = await asyncio.gather(*(
+                    service.dispatch(request(
+                        "POST", "/check", {**shop, "left": "C", "right": "S"}
+                    ))
+                    for _ in range(5)
+                ))
+                assert [status for status, _ in checks] == [200] * 5
+                status, _ = await service.dispatch(request(
+                    "POST", "/check", {**shop, "left": "C", "right": "S"}
+                ))
+                assert status == 200
+                status, _ = await service.dispatch(
+                    request("POST", "/sweep", shop)
+                )
+                assert status == 200
+                status, stream = await service.dispatch(
+                    request("POST", "/sweep", {**shop, "stream": True})
+                )
+                async for _ in stream.generator:
+                    pass
+                status, _ = await service.dispatch(request(
+                    "POST", "/fleet", {**shop, "party": "C", "instances": 20}
+                ))
+                assert status == 200
+                status, _ = await service.dispatch(request(
+                    "POST", "/migrate", {**shop, "party": "C",
+                                         "process": CLIENT},
+                ))
+                assert status == 200
+                status, _ = await service.dispatch(request(
+                    "POST", "/evolve",
+                    evolve_body(CLIENT, choreography="shop"),
+                ))
+                assert status == 200
+                status, _ = await service.dispatch(request(
+                    "POST", "/choreographies",
+                    {"tenant": "full", "name": "x",
+                     "processes": [BUYER, CLIENT]},
+                ))
+                assert status == 429
+            finally:
+                service.close()
+            written = {key for key, _ in counters.writes}
+            assert written >= {
+                "checks_executed", "coalesced", "check_memo_hits",
+                "sweeps_executed", "engine_dispatches", "evictions",
+                "admission_rejected",
+            }, written
+            assert not [
+                key for key, thread in counters.writes if thread != loop_thread
+            ]
+
+        run(main())
+
+
 class _RecordingArena:
     """Arena stub recording which kernels were discarded."""
 
@@ -1627,7 +1740,7 @@ class TestFieldValidation:
                 assert status == 500
                 assert payload["error"]["code"] == "internal-error"
                 assert "kaboom" in payload["error"]["message"]
-                assert service.metrics.internal_errors == 1
+                assert service.metrics.counters["internal_errors"] == 1
                 # The failure was still observed as a request.
                 assert (
                     service.metrics.requests[("GET", "/healthz", 500)]
@@ -1709,7 +1822,7 @@ class TestStreamingLifecycle:
                 assert lines, "stream must not end bodiless"
                 assert lines[-1]["error"]["code"] == "internal-error"
                 assert "engine down" in lines[-1]["error"]["message"]
-                assert service.metrics.internal_errors == 1
+                assert service.metrics.counters["internal_errors"] == 1
                 assert service.registry.inflight_total == 0
             finally:
                 service.close()
@@ -1760,7 +1873,7 @@ class TestEvictionRuntime:
                     )
                 )
                 assert status == 200
-                assert service.metrics.evictions == 1
+                assert service.metrics.counters["evictions"] == 1
                 # c1's kernels left *this* service's arena, not the
                 # process-default one.
                 assert runtime.arena.discarded
@@ -1874,7 +1987,7 @@ class TestShardMemoCascade:
                     "tenant": "acme", "name": "c2",
                     "processes": [texts["H"], texts["P1"]],
                 })
-                assert service.metrics.evictions == 1
+                assert service.metrics.counters["evictions"] == 1
                 assert len(runtime.arena) == 0
             finally:
                 service.close()

@@ -117,7 +117,7 @@ with EvolutionRuntime() as rt:
     start = time.monotonic()
     fanned, report = _sweep_pairs_report(PAIRS, WITNESS_ALL, 2, rt)
     elapsed = time.monotonic() - start
-    inflight = rt.inflight
+    inflight = rt.counters["inflight"]
     size = rt.pool_size
     again = sweep_pairs(PAIRS[:4], witnesses=WITNESS_ALL, workers=2,
                         runtime=rt)
@@ -335,7 +335,7 @@ class TestRemoteShardDeath:
                 )
                 elapsed = time.monotonic() - start
                 killer.join()
-                assert rt.inflight == 0
+                assert rt.counters["inflight"] == 0
                 # The dead connection stays closed; the survivor
                 # serves every later dispatch on its own.
                 assert not rt._shards[0].connected
